@@ -37,16 +37,45 @@ inline int dht_min_alive(int nodes, int replicas) {
   return std::max(replicas + 2, 3 * nodes / 4);
 }
 
+/// Calls fn(key, node) for every replica of every key in [0, keys) hosted
+/// by PE `me` (nodes me, me + nprocs, ...), in ascending key order and ring
+/// order within a key: the sequence a filter over every key's full replica
+/// set yields.  A key outside the replica arcs of the PE's alive nodes
+/// costs one hash, so a PE's host work follows what it owns.
+template <typename Fn>
+void for_each_local_replica(const dht::Ring& ring, int k, std::uint32_t keys, int me,
+                            int nprocs, Fn&& fn) {
+  std::vector<dht::Arc> arcs;
+  for (int n = me; n < ring.n_total(); n += nprocs) {
+    if (ring.is_alive(static_cast<dht::NodeId>(n)))
+      arcs.push_back(ring.replica_arc(static_cast<dht::NodeId>(n), k));
+  }
+  std::vector<dht::NodeId> reps;
+  for (std::uint32_t key = 0; key < keys; ++key) {
+    const std::uint64_t p = dht::key_point(key);
+    if (std::none_of(arcs.begin(), arcs.end(), [p](const dht::Arc& a) { return a.contains(p); }))
+      continue;
+    ring.replicas(key, k, reps);
+    for (const dht::NodeId d : reps) {
+      if (dht::pe_of(d, nprocs) == me) fn(key, d);
+    }
+  }
+}
+
 /// The overlay nodes one PE hosts, with private per-node stores (value +
 /// presence per key) and routing state.  Used by the MP and SHMEM bindings.
 struct DhtNodeSet {
+  int me = 0;
+  int nprocs = 1;
   std::vector<dht::NodeId> ids;       ///< my nodes, ascending
   std::vector<int> lidx;              ///< node -> index in `ids`, or -1
   std::vector<dht::Fingers> fg;       ///< per local node
   std::vector<std::vector<std::uint64_t>> val;
   std::vector<std::vector<std::uint8_t>> present;
 
-  void init(int me, int nprocs, int nodes, std::uint32_t keys) {
+  void init(int rank, int npes, int nodes, std::uint32_t keys) {
+    me = rank;
+    nprocs = npes;
     lidx.assign(static_cast<std::size_t>(nodes), -1);
     for (int n = me; n < nodes; n += nprocs) {
       lidx[static_cast<std::size_t>(n)] = static_cast<int>(ids.size());
@@ -99,15 +128,11 @@ struct DhtNodeSet {
   /// the number of entries written (for work charging).
   std::uint64_t populate(const dht::Ring& ring, const dht::Traffic& traffic, int k) {
     std::uint64_t stored = 0;
-    std::vector<dht::NodeId> reps;
-    for (std::uint32_t key = 0; key < traffic.keys(); ++key) {
-      ring.replicas(key, k, reps);
-      for (const dht::NodeId d : reps) {
-        if (!is_local(d)) continue;
-        set(d, key, traffic.initial_value(key));
-        ++stored;
-      }
-    }
+    for_each_local_replica(ring, k, traffic.keys(), me, nprocs,
+                           [&](std::uint32_t key, dht::NodeId d) {
+                             set(d, key, traffic.initial_value(key));
+                             ++stored;
+                           });
     return stored;
   }
 
@@ -117,19 +142,15 @@ struct DhtNodeSet {
   [[nodiscard]] std::pair<std::int64_t, std::int64_t> check_store(
       const dht::Ring& ring, int k, const std::vector<std::uint64_t>& expected) const {
     std::int64_t wrong = 0, found = 0;
-    std::vector<dht::NodeId> reps;
-    for (std::uint32_t key = 0; key < static_cast<std::uint32_t>(expected.size()); ++key) {
-      ring.replicas(key, k, reps);
-      for (const dht::NodeId d : reps) {
-        if (!is_local(d)) continue;
-        if (!has(d, key)) {
-          ++wrong;
-        } else {
-          ++found;
-          if (value_of(d, key) != expected[key]) ++wrong;
-        }
-      }
-    }
+    for_each_local_replica(ring, k, static_cast<std::uint32_t>(expected.size()), me, nprocs,
+                           [&](std::uint32_t key, dht::NodeId d) {
+                             if (!has(d, key)) {
+                               ++wrong;
+                             } else {
+                               ++found;
+                               if (value_of(d, key) != expected[key]) ++wrong;
+                             }
+                           });
     return {wrong, found};
   }
 };

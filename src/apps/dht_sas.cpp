@@ -89,18 +89,15 @@ AppReport run_dht_sas(rt::Machine& machine, int nprocs, const DhtConfig& cfg) {
       auto ph = pe.phase("init");
       rebuild_fingers();
       std::uint64_t stored = 0;
-      for (std::uint32_t key = 0; key < K; ++key) {
-        ring.replicas(key, cfg.replicas, reps);
-        for (const dht::NodeId d : reps) {
-          if (dht::pe_of(d, P) != me) continue;
-          const std::size_t s = slot(d, key);
-          team.touch_write(val.offset + s * 8, 8);
-          team.touch_write(present.offset + s, 1);
-          vals[s] = traffic.initial_value(key);
-          pres[s] = 1;
-          ++stored;
-        }
-      }
+      detail::for_each_local_replica(
+          ring, cfg.replicas, K, me, P, [&](std::uint32_t key, dht::NodeId d) {
+            const std::size_t s = slot(d, key);
+            team.touch_write(val.offset + s * 8, 8);
+            team.touch_write(present.offset + s, 1);
+            vals[s] = traffic.initial_value(key);
+            pres[s] = 1;
+            ++stored;
+          });
       pe.advance(static_cast<double>(my_nodes.size()) * kc.dht_rebuild_node_ns +
                  static_cast<double>(stored) * kc.dht_store_ns);
       team.barrier();
@@ -245,21 +242,18 @@ AppReport run_dht_sas(rt::Machine& machine, int nprocs, const DhtConfig& cfg) {
     {
       auto ph = pe.phase("check");
       std::int64_t wrong = 0, found = 0;
-      for (std::uint32_t key = 0; key < K; ++key) {
-        ring.replicas(key, cfg.replicas, reps);
-        for (const dht::NodeId d : reps) {
-          if (dht::pe_of(d, P) != me) continue;
-          const std::size_t s = slot(d, key);
-          team.touch_read(present.offset + s, 1);
-          if (pres[s] == 0) {
-            ++wrong;
-            continue;
-          }
-          team.touch_read(val.offset + s * 8, 8);
-          ++found;
-          if (vals[s] != expected[key]) ++wrong;
-        }
-      }
+      detail::for_each_local_replica(
+          ring, cfg.replicas, K, me, P, [&](std::uint32_t key, dht::NodeId d) {
+            const std::size_t s = slot(d, key);
+            team.touch_read(present.offset + s, 1);
+            if (pres[s] == 0) {
+              ++wrong;
+              return;
+            }
+            team.touch_read(val.offset + s * 8, 8);
+            ++found;
+            if (vals[s] != expected[key]) ++wrong;
+          });
       pe.advance(static_cast<double>(found) * kc.dht_serve_ns);
       wrong_total = team.reduce_sum(wrong);
       found_total = team.reduce_sum(found);

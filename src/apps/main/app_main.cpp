@@ -1,5 +1,6 @@
 #include "apps/main/app_main.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -43,6 +44,13 @@ void add_workers_flag(std::map<std::string, std::string>& flags) {
   flags["migrate"] =
       "adaptive PE-to-worker migration cadence in barrier epochs, 0 = off "
       "(default: O2K_MIGRATE, else 0)";
+}
+
+/// The simulated machine for `--p`: the Origin2000 parameters, scaled past
+/// their 64-PE width when a run asks for more (identical for p <= 64).
+rt::Machine make_machine(int p) {
+  if (p < 1) throw CliError("--p expects a processor count >= 1");
+  return rt::Machine(origin::MachineParams::origin2000_scaled(std::max(64, p)));
 }
 
 /// Resolve --workers against the simulated PE count.  The flag overrides
@@ -245,7 +253,7 @@ int nbody_main(int argc, char** argv, Model model) {
     cfg.uniform_sphere = cli.get_bool("uniform-sphere", cfg.uniform_sphere);
     const int p = static_cast<int>(cli.get_int("p", 8));
 
-    rt::Machine machine;
+    rt::Machine machine = make_machine(p);
     apply_workers(cli, machine, p);
     return run_and_report(machine, p, std::string("nbody_") + model_slug(model), model,
                           metrics::Options::from_cli(cli), sanitize_mode(cli),
@@ -275,7 +283,7 @@ int mesh_main(int argc, char** argv, Model model) {
     cfg.use_plum = !cli.get_bool("no-plum", false);
     const int p = static_cast<int>(cli.get_int("p", 8));
 
-    rt::Machine machine;
+    rt::Machine machine = make_machine(p);
     apply_workers(cli, machine, p);
     return run_and_report(machine, p, std::string("mesh_") + model_slug(model), model,
                           metrics::Options::from_cli(cli), sanitize_mode(cli),
@@ -319,7 +327,7 @@ int dht_main(int argc, char** argv, Model model) {
         static_cast<std::uint64_t>(cli.get_int("seed", static_cast<std::int64_t>(cfg.seed)));
     const int p = static_cast<int>(cli.get_int("p", 8));
 
-    rt::Machine machine;
+    rt::Machine machine = make_machine(p);
     apply_workers(cli, machine, p);
     return run_and_report(machine, p, std::string("dht_") + model_slug(model), model,
                           metrics::Options::from_cli(cli), sanitize_mode(cli),

@@ -40,6 +40,20 @@ void Ring::replicas(std::uint32_t key, int k, std::vector<NodeId>& out) const {
   }
 }
 
+Arc Ring::replica_arc(NodeId n, int k) const {
+  O2K_REQUIRE(k >= 1, "dht: replica count must be >= 1");
+  O2K_REQUIRE(n < n_total_ && is_alive(n), "dht: replica arc of a dead or unknown node");
+  if (n_alive() <= k) return Arc{0, 0, true};
+  // replicas() takes k consecutive ring entries starting at the key's
+  // successor, so n (entry i) is in the set exactly when that successor is
+  // one of entries i-k+1 .. i: the key point lies in (point[i-k], point[i]].
+  const auto it = std::lower_bound(order_.begin(), order_.end(), std::pair{node_point(n), n});
+  const auto i = static_cast<std::size_t>(it - order_.begin());
+  const std::size_t N = order_.size();
+  const std::size_t pred = (i + N - static_cast<std::size_t>(k)) % N;
+  return Arc{order_[pred].first, it->first, false};
+}
+
 Fingers Fingers::build(const Ring& ring, NodeId n) {
   Fingers fg;
   fg.node = n;
@@ -106,9 +120,19 @@ std::optional<ChurnEvent> churn_event(const std::vector<std::uint8_t>& alive, in
 
 std::vector<RepairXfer> plan_repair(const Ring& before, const Ring& after, std::uint32_t keys,
                                     int k) {
+  O2K_REQUIRE(before.n_total() == after.n_total(), "dht: repair across different node counts");
+  std::vector<Arc> moved;
+  for (int m = 0; m < after.n_total(); ++m) {
+    const auto n = static_cast<NodeId>(m);
+    if (before.is_alive(n) == after.is_alive(n)) continue;
+    moved.push_back(before.is_alive(n) ? before.replica_arc(n, k) : after.replica_arc(n, k));
+  }
   std::vector<RepairXfer> out;
   std::vector<NodeId> old_set, new_set;
   for (std::uint32_t key = 0; key < keys; ++key) {
+    const std::uint64_t p = key_point(key);
+    if (std::none_of(moved.begin(), moved.end(), [p](const Arc& a) { return a.contains(p); }))
+      continue;
     before.replicas(key, k, old_set);
     after.replicas(key, k, new_set);
     // Survivors of the old set still hold the key (a failed node's store is

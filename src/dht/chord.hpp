@@ -48,6 +48,18 @@ constexpr std::uint64_t key_point(std::uint32_t key) {
 /// (a dead node's PE keeps serving its other nodes).
 constexpr int pe_of(NodeId n, int nprocs) { return static_cast<int>(n) % nprocs; }
 
+/// Half-open arc (lo, hi] of ring points, wrapping past 2^64, or the whole
+/// ring when `all` is set.
+struct Arc {
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+  bool all = false;
+
+  [[nodiscard]] constexpr bool contains(std::uint64_t p) const {
+    return all || p - lo - 1 < hi - lo;  // unsigned wrap does the modular compare
+  }
+};
+
 /// The alive membership, sorted into ring order.  Rebuilt (identically on
 /// every PE) whenever membership changes; queries are pure.
 class Ring {
@@ -66,6 +78,10 @@ class Ring {
   /// (fewer when fewer nodes are alive).  Deterministic order: ring order
   /// starting at the owner.
   void replicas(std::uint32_t key, int k, std::vector<NodeId>& out) const;
+  /// Key points whose replica set contains the alive node `n`: the arc
+  /// (pred_k(n), n] from n's k-th ring predecessor up to n itself, or the
+  /// whole ring when at most k nodes are alive.
+  [[nodiscard]] Arc replica_arc(NodeId n, int k) const;
   /// Uniform pick over the alive membership from a raw 64-bit draw — used
   /// to attach a client request to an entry node.
   [[nodiscard]] NodeId pick_alive(std::uint64_t raw) const {
@@ -118,7 +134,10 @@ struct RepairXfer {
 /// of the new replica set that do not already hold the key fetch it from
 /// the first surviving old replica (ring order).  Assumes at most
 /// `k - 1` members of any old replica set died since the last repair —
-/// guaranteed by the one-event-at-a-time churn schedule.
+/// guaranteed by the one-event-at-a-time churn schedule.  Only keys in the
+/// replica arcs of changed nodes (a failed node's in `before`, a joined
+/// node's in `after`) are planned; every other key keeps an identical,
+/// fully alive replica set and needs no copy.
 std::vector<RepairXfer> plan_repair(const Ring& before, const Ring& after, std::uint32_t keys,
                                     int k);
 

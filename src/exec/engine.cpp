@@ -215,9 +215,12 @@ void FiberEngine::worker_loop_pinned(int wid) {
     if (w.localq.empty()) {
       // Sleep eventcount: read the epoch, re-drain, and only then commit to
       // the condvar — a producer always delivers before bumping the epoch,
-      // so either the re-drain sees the fiber or the epoch moved.
+      // so either the re-drain sees the fiber or the epoch moved.  The last
+      // finisher counts completion before its bump, so an epoch read after
+      // that bump must also see the run complete.
       const std::uint64_t e = w.epoch.load(std::memory_order_seq_cst);
       if (drain_into_local(w)) continue;
+      if (pinned_done_.load(std::memory_order_seq_cst) == live_) break;
       std::unique_lock<std::mutex> lk(w.mu);
       w.sleeping.store(1, std::memory_order_seq_cst);
       if (w.epoch.load(std::memory_order_seq_cst) == e) {

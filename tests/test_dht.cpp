@@ -7,9 +7,12 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "apps/dht_app.hpp"
+#include "apps/dht_detail.hpp"
+#include "apps/main/app_main.hpp"
 #include "dht/chord.hpp"
 #include "dht/traffic.hpp"
 
@@ -152,6 +155,210 @@ TEST(ChordRepair, PlanRestoresFullReplication) {
   }
 }
 
+// ---- replica arcs -----------------------------------------------------------
+
+TEST(ChordArc, HalfOpenAndWrapping) {
+  const dht::Arc plain{10, 20, false};
+  EXPECT_FALSE(plain.contains(10));
+  EXPECT_TRUE(plain.contains(11));
+  EXPECT_TRUE(plain.contains(20));
+  EXPECT_FALSE(plain.contains(21));
+  const dht::Arc wrap{~0ULL - 5, 3, false};
+  EXPECT_FALSE(wrap.contains(~0ULL - 5));
+  EXPECT_TRUE(wrap.contains(~0ULL));
+  EXPECT_TRUE(wrap.contains(0));
+  EXPECT_TRUE(wrap.contains(3));
+  EXPECT_FALSE(wrap.contains(4));
+  EXPECT_FALSE((dht::Arc{7, 7, false}.contains(7)));
+  EXPECT_TRUE((dht::Arc{7, 7, true}.contains(123)));
+}
+
+/// Every alive node's arc holds a key's point exactly when the node is in
+/// the key's replica set.
+void expect_arcs_match_replicas(const dht::Ring& ring, int k, std::uint32_t keys) {
+  std::vector<std::pair<dht::NodeId, dht::Arc>> arcs;
+  for (int n = 0; n < ring.n_total(); ++n) {
+    const auto id = static_cast<dht::NodeId>(n);
+    if (ring.is_alive(id)) arcs.emplace_back(id, ring.replica_arc(id, k));
+  }
+  std::vector<dht::NodeId> reps;
+  for (std::uint32_t key = 0; key < keys; ++key) {
+    ring.replicas(key, k, reps);
+    for (const auto& [n, arc] : arcs) {
+      const bool member = std::find(reps.begin(), reps.end(), n) != reps.end();
+      ASSERT_EQ(arc.contains(dht::key_point(key)), member)
+          << "node " << n << " key " << key << " k " << k << " alive " << ring.n_alive();
+    }
+  }
+}
+
+/// Membership with roughly one node in `one_in` dead, chosen by hash.
+std::vector<std::uint8_t> random_alive(int n, int one_in, std::uint64_t seed) {
+  auto alive = all_alive(n);
+  for (int i = 0; i < n; ++i) {
+    if (dht::mix64(seed + static_cast<std::uint64_t>(i)) % static_cast<std::uint64_t>(one_in) == 0)
+      alive[static_cast<std::size_t>(i)] = 0;
+  }
+  alive[0] = 1;
+  return alive;
+}
+
+TEST(ChordArc, ContainsKeyExactlyWhenNodeIsAReplica) {
+  for (const int k : {1, 2, 3, 5}) {
+    SCOPED_TRACE(k);
+    // Up to k alive nodes every node holds every key; k + 1 is the first
+    // ring whose arcs are proper.
+    for (int a = 1; a <= k + 1; ++a) {
+      std::vector<std::uint8_t> alive(static_cast<std::size_t>(k + 3), 0);
+      for (int i = 0; i < a; ++i) alive[static_cast<std::size_t>(7 * i % (k + 3))] = 1;
+      const auto ring = dht::Ring::build(alive);
+      ASSERT_EQ(ring.n_alive(), a);
+      for (int n = 0; n < ring.n_total(); ++n) {
+        const auto id = static_cast<dht::NodeId>(n);
+        if (ring.is_alive(id)) {
+          EXPECT_EQ(ring.replica_arc(id, k).all, a <= k);
+        }
+      }
+      expect_arcs_match_replicas(ring, k, 512);
+    }
+    expect_arcs_match_replicas(dht::Ring::build(random_alive(16, 4, 11)), k, 2048);
+    expect_arcs_match_replicas(dht::Ring::build(random_alive(1024, 5, 12)), k, 4096);
+  }
+}
+
+TEST(ChordArc, RejectsDeadNode) {
+  auto alive = all_alive(8);
+  alive[3] = 0;
+  const auto ring = dht::Ring::build(alive);
+  EXPECT_THROW((void)ring.replica_arc(3, 2), std::invalid_argument);
+  EXPECT_THROW((void)ring.replica_arc(8, 2), std::invalid_argument);
+}
+
+// ---- repair planning against the all-keys reference --------------------------
+
+/// The repair planner as it was before replica arcs: every key's old and
+/// new replica sets are compared.  Kept here as the reference the arc
+/// filter must reproduce element for element.
+std::vector<dht::RepairXfer> plan_repair_all_keys(const dht::Ring& before,
+                                                  const dht::Ring& after,
+                                                  std::uint32_t keys, int k) {
+  std::vector<dht::RepairXfer> out;
+  std::vector<dht::NodeId> old_set, new_set;
+  for (std::uint32_t key = 0; key < keys; ++key) {
+    before.replicas(key, k, old_set);
+    after.replicas(key, k, new_set);
+    dht::NodeId src = 0;
+    bool have_src = false;
+    for (const dht::NodeId n : old_set) {
+      if (after.is_alive(n)) {
+        src = n;
+        have_src = true;
+        break;
+      }
+    }
+    if (!have_src) ADD_FAILURE() << "key " << key << " lost all replicas";
+    for (const dht::NodeId d : new_set) {
+      if (d == src) continue;
+      const bool held = std::find(old_set.begin(), old_set.end(), d) != old_set.end();
+      if (held && after.is_alive(d)) continue;
+      out.push_back(dht::RepairXfer{key, src, d});
+    }
+  }
+  return out;
+}
+
+void expect_same_plan(const dht::Ring& before, const dht::Ring& after, std::uint32_t keys,
+                      int k) {
+  const auto want = plan_repair_all_keys(before, after, keys, k);
+  const auto got = dht::plan_repair(before, after, keys, k);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].key, want[i].key) << "transfer " << i;
+    EXPECT_EQ(got[i].src, want[i].src) << "transfer " << i;
+    EXPECT_EQ(got[i].dst, want[i].dst) << "transfer " << i;
+  }
+}
+
+TEST(ChordRepair, ArcPlanEqualsAllKeysPlanOverChurnSequence) {
+  for (const int k : {2, 3}) {
+    SCOPED_TRACE(k);
+    const int nodes = 96;
+    const std::uint32_t keys = 2048;
+    auto alive = all_alive(nodes);
+    auto ring = dht::Ring::build(alive);
+    std::size_t moved = 0;
+    for (int e = 0; e < 200; ++e) {
+      const auto ev = dht::churn_event(alive, nodes * 3 / 4, 99, e);
+      ASSERT_TRUE(ev.has_value());
+      alive[ev->node] = ev->fail ? 0 : 1;
+      const auto next = dht::Ring::build(alive);
+      expect_same_plan(ring, next, keys, k);
+      moved += dht::plan_repair(ring, next, keys, k).size();
+      ring = next;
+    }
+    EXPECT_GT(moved, 0u) << "the sequence must exercise real repairs";
+  }
+}
+
+TEST(ChordRepair, ArcPlanEqualsAllKeysPlanForTwoNodeChange) {
+  const int nodes = 32, k = 3;
+  const std::uint32_t keys = 4096;
+  auto alive = all_alive(nodes);
+  alive[7] = 0;
+  const auto before = dht::Ring::build(alive);
+  auto swapped = alive;  // one node fails while another joins
+  swapped[7] = 1;
+  swapped[20] = 0;
+  expect_same_plan(before, dht::Ring::build(swapped), keys, k);
+  auto two_down = alive;  // two failures between repairs (k - 1 = 2 allowed)
+  two_down[3] = 0;
+  two_down[25] = 0;
+  expect_same_plan(before, dht::Ring::build(two_down), keys, k);
+  EXPECT_TRUE(dht::plan_repair(before, before, keys, k).empty());  // no change
+}
+
+TEST(ChordRepair, ArcPlanEqualsAllKeysPlanWithAtMostKAlive) {
+  const int k = 3;
+  const std::uint32_t keys = 512;
+  std::vector<std::uint8_t> alive{1, 1, 1, 0, 0, 1};  // 4 alive > k
+  const auto four = dht::Ring::build(alive);
+  alive[5] = 0;  // 3 alive = k: every node holds every key
+  const auto three = dht::Ring::build(alive);
+  alive[1] = 0;  // 2 alive < k
+  const auto two = dht::Ring::build(alive);
+  expect_same_plan(four, three, keys, k);
+  expect_same_plan(three, two, keys, k);
+  expect_same_plan(two, three, keys, k);
+  expect_same_plan(three, four, keys, k);
+}
+
+TEST(ChordRepair, RejectsRingsOfDifferentSize) {
+  const auto a = dht::Ring::build(all_alive(8));
+  const auto b = dht::Ring::build(all_alive(9));
+  EXPECT_THROW(dht::plan_repair(a, b, 16, 2), std::invalid_argument);
+}
+
+TEST(DhtLocalReplicas, SameSequenceAsFilteringEveryKey) {
+  const int nprocs = 5, k = 3;
+  const std::uint32_t keys = 3000;
+  for (const auto& alive : {all_alive(20), random_alive(20, 3, 5), random_alive(40, 2, 6)}) {
+    const auto ring = dht::Ring::build(alive);
+    std::vector<dht::NodeId> reps;
+    for (int me = 0; me < nprocs; ++me) {
+      std::vector<std::pair<std::uint32_t, dht::NodeId>> want, got;
+      for (std::uint32_t key = 0; key < keys; ++key) {
+        ring.replicas(key, k, reps);
+        for (const dht::NodeId d : reps)
+          if (dht::pe_of(d, nprocs) == me) want.emplace_back(key, d);
+      }
+      apps::detail::for_each_local_replica(
+          ring, k, keys, me, nprocs,
+          [&](std::uint32_t key, dht::NodeId d) { got.emplace_back(key, d); });
+      EXPECT_EQ(got, want) << "pe " << me << " alive " << ring.n_alive();
+    }
+  }
+}
+
 TEST(DhtTraffic, StreamIsDeterministicAndZipfSkewed) {
   const dht::Traffic a(1024, 0.9, 77, 10);
   const dht::Traffic b(1024, 0.9, 77, 10);
@@ -264,6 +471,36 @@ TEST(DhtConfigChecks, RejectsDegenerateInputs) {
   cfg = small_cfg();
   cfg.window = 0;
   EXPECT_THROW(apps::run_dht(apps::Model::kSas, machine(), 2, cfg), std::invalid_argument);
+}
+
+// ---- app binary main ---------------------------------------------------------
+
+int run_dht_main(std::vector<std::string> args) {
+  std::vector<char*> argv;
+  for (auto& a : args) argv.push_back(a.data());
+  return apps::appmain::dht_main(static_cast<int>(argv.size()), argv.data(), apps::Model::kMp);
+}
+
+TEST(DhtMain, RunsPastSixtyFourPes) {
+  // The Origin2000 parameters host 64 PEs; dht_main scales the machine
+  // to --p, so P=256 runs instead of failing a max_pes check.
+  testing::internal::CaptureStdout();
+  const int rc = run_dht_main({"dht_mp", "--p=256", "--workers=4", "--keys=1024",
+                               "--requests=3000", "--window=256", "--churn-every=1000"});
+  const std::string out = testing::internal::GetCapturedStdout();
+  EXPECT_EQ(rc, 0);
+  EXPECT_NE(out.find("check store_ok = 1"), std::string::npos) << out;
+  EXPECT_NE(out.find("check replicas_ok = 1"), std::string::npos) << out;
+}
+
+TEST(DhtMain, RejectsNonPositiveProcessorCount) {
+  for (const char* p : {"--p=0", "--p=-3"}) {
+    testing::internal::CaptureStderr();
+    const int rc = run_dht_main({"dht_mp", p});
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(rc, 2) << p;
+    EXPECT_NE(err.find("--p expects"), std::string::npos) << err;
+  }
 }
 
 }  // namespace
