@@ -6,18 +6,15 @@
 // all three models and P = {1..256} (a scaled Origin2000 beyond the paper's
 // 64 processors; identical per-hop costs, see
 // MachineParams::origin2000_scaled) and records host wall-clock seconds per
-// point as line-oriented JSON (schema o2k.bench_sched.v4).  Every point is
+// point as line-oriented JSON (schema o2k.bench_sched.v5).  Every point is
 // measured with 3 repetitions per backend and records the *median* — the
 // header line carries "reps" and "host_cores" so a baseline taken on a
 // wider host is legible.  Points at P >= 8 are additionally measured with
 // O2K_WORKERS=4 on the fibers backend (the sharded synchronization-domain
-// scheduler, DESIGN.md §11), once with migration off and once with
-// O2K_MIGRATE=1 (adaptive PE-to-worker migration, DESIGN.md §13 — the
-// "migrate" axis new in v4); the "speedup" column of workers>1 lines is
+// scheduler, DESIGN.md §11); the "speedup" column of workers>1 lines is
 // wall(workers=1)/wall(this), the tentpole host-parallelism metric.
-// All makespans of a point — across backends, repetitions, worker counts
-// AND migration settings — must agree bit-exactly; any mismatch aborts the
-// run with exit 1.
+// All makespans of a point — across backends, repetitions and worker
+// counts — must agree bit-exactly; any mismatch aborts the run with exit 1.
 //
 //   ./bench_micro_runtime --wall --out=BENCH_sched.json
 //
@@ -137,7 +134,6 @@ struct WallPoint {
   std::string model;
   int p = 0;
   int workers = 1;              ///< synchronization domains (O2K_WORKERS)
-  int migrate = 0;              ///< migration interval (O2K_MIGRATE); 0 = off
   double wall_fibers_s = 0.0;   ///< median of kReps fiber-backend runs
   double wall_threads_s = 0.0;  ///< median of kReps thread-per-PE runs (workers=1 only)
   double makespan_ns = 0.0;     ///< virtual time (identical across everything)
@@ -145,7 +141,7 @@ struct WallPoint {
 
 std::string point_key(const WallPoint& pt) {
   return pt.app + "|" + pt.model + "|" + std::to_string(pt.p) + "|w" +
-         std::to_string(pt.workers) + "|m" + std::to_string(pt.migrate);
+         std::to_string(pt.workers);
 }
 
 double median(std::vector<double> v) {
@@ -196,7 +192,6 @@ std::pair<double, double> timed_run(rt::Machine& machine, const std::string& app
 bool measure_point(rt::Machine& machine, WallPoint& pt) {
   const auto model = model_from_slug(pt.model);
   machine.set_workers(pt.workers);
-  machine.set_migrate(pt.migrate);
   std::vector<double> wf, wt, mks;
   machine.set_exec_backend(rt::ExecBackend::kFibers);
   for (int r = 0; r < kReps; ++r) {
@@ -214,7 +209,6 @@ bool measure_point(rt::Machine& machine, WallPoint& pt) {
   }
   machine.set_exec_backend(std::nullopt);
   machine.set_workers(std::nullopt);
-  machine.set_migrate(std::nullopt);
   pt.wall_fibers_s = median(wf);
   pt.wall_threads_s = wt.empty() ? 0.0 : median(wt);
   pt.makespan_ns = mks.front();
@@ -256,28 +250,20 @@ int run_wall_mode(const std::string& out_path, int pmax) {
         // nodes, i.e. P >= 8 at two PEs per node; below that DomainMap
         // would clamp and re-measure the workers=1 configuration.
         if (p >= 8) {
-          // The migrate axis rides the same workers=4 configuration:
-          // migration is host placement only, so both points must report
-          // the very same makespan as workers=1 — the v4 sweep proves it
-          // on every regeneration.
-          for (const int mig : {0, 1}) {
-            WallPoint w4 = pt;
-            w4.workers = 4;
-            w4.migrate = mig;
-            ok = measure_point(machine, w4) && ok;
-            if (w4.makespan_ns != pt.makespan_ns) {
-              std::fprintf(stderr,
-                           "ERROR: makespan drift at %s vs workers=1 (%.17g vs %.17g) — "
-                           "domain decomposition leaked into virtual time\n",
-                           point_key(w4).c_str(), w4.makespan_ns, pt.makespan_ns);
-              ok = false;
-            }
-            points.push_back(w4);
+          WallPoint w4 = pt;
+          w4.workers = 4;
+          ok = measure_point(machine, w4) && ok;
+          if (w4.makespan_ns != pt.makespan_ns) {
             std::fprintf(stderr,
-                         "  %-5s %-6s P=%-4d w=4 m=%d  fibers %.3fs  (x%.2f vs w=1)\n",
-                         w4.app.c_str(), w4.model.c_str(), w4.p, mig, w4.wall_fibers_s,
-                         w4.wall_fibers_s > 0 ? pt.wall_fibers_s / w4.wall_fibers_s : 0.0);
+                         "ERROR: makespan drift at %s vs workers=1 (%.17g vs %.17g) — "
+                         "domain decomposition leaked into virtual time\n",
+                         point_key(w4).c_str(), w4.makespan_ns, pt.makespan_ns);
+            ok = false;
           }
+          points.push_back(w4);
+          std::fprintf(stderr, "  %-5s %-6s P=%-4d w=4  fibers %.3fs  (x%.2f vs w=1)\n",
+                       w4.app.c_str(), w4.model.c_str(), w4.p, w4.wall_fibers_s,
+                       w4.wall_fibers_s > 0 ? pt.wall_fibers_s / w4.wall_fibers_s : 0.0);
         }
       }
     }
@@ -290,7 +276,7 @@ int run_wall_mode(const std::string& out_path, int pmax) {
   }
   char hdr[160];
   std::snprintf(hdr, sizeof hdr,
-                "{\"schema\":\"o2k.bench_sched.v4\",\"reps\":%d,\"host_cores\":%u,"
+                "{\"schema\":\"o2k.bench_sched.v5\",\"reps\":%d,\"host_cores\":%u,"
                 "\"points\":[\n",
                 kReps, std::thread::hardware_concurrency());
   out << hdr;
@@ -319,10 +305,9 @@ int run_wall_mode(const std::string& out_path, int pmax) {
     char buf[512];
     std::snprintf(buf, sizeof buf,
                   "{\"app\":\"%s\",\"model\":\"%s\",\"P\":%d,\"workers\":%d,"
-                  "\"migrate\":%d,"
                   "\"wall_fibers_s\":%.6f,\"wall_threads_s\":%.6f,\"speedup\":%.2f,"
                   "\"makespan_ns\":%.17g",
-                  pt.app.c_str(), pt.model.c_str(), pt.p, pt.workers, pt.migrate,
+                  pt.app.c_str(), pt.model.c_str(), pt.p, pt.workers,
                   pt.wall_fibers_s, pt.wall_threads_s, speedup, pt.makespan_ns);
     out << buf;
     out << "}" << (i + 1 < points.size() ? "," : "") << "\n";
@@ -348,13 +333,11 @@ int run_wall_mode(const std::string& out_path, int pmax) {
 /// (caught in main).
 int run_gate_mode(const std::string& baseline_path) {
   const auto baseline = bench::load_gate_baseline("bench_micro_runtime", baseline_path,
-                                                  "o2k.bench_sched.v4", /*with_app=*/true);
-  auto find = [&](const std::string& app, const std::string& model, int p, int workers,
-                  int migrate) -> const bench::GateRecord* {
+                                                  "o2k.bench_sched.v5", /*with_app=*/true);
+  auto find = [&](const std::string& app, const std::string& model, int p,
+                  int workers) -> const bench::GateRecord* {
     for (const auto& b : baseline)
-      if (b.app == app && b.model == model && b.p == p && b.workers == workers &&
-          b.migrate == migrate)
-        return &b;
+      if (b.app == app && b.model == model && b.p == p && b.workers == workers) return &b;
     return nullptr;
   };
 
@@ -363,34 +346,28 @@ int run_gate_mode(const std::string& baseline_path) {
     const char* model;
     int p;
     int workers;
-    int migrate;
   };
-  // The two migrate=1 points keep the adaptive-migration path (DESIGN.md
-  // §13) on the perf gate: one model that remaps at machine barriers (sas)
-  // and one that remaps at the MP collective rendezvous (dht/mp).
-  const GatePoint pinned[] = {{"nbody", "mp", 64, 1, 0},  {"nbody", "sas", 64, 1, 0},
-                              {"mesh", "mp", 64, 1, 0},   {"mesh", "sas", 64, 1, 0},
-                              {"dht", "mp", 64, 1, 0},    {"mesh", "sas", 64, 4, 0},
-                              {"dht", "mp", 64, 4, 0},    {"mesh", "sas", 64, 4, 1},
-                              {"dht", "mp", 64, 4, 1}};
+  const GatePoint pinned[] = {{"nbody", "mp", 64, 1},  {"nbody", "sas", 64, 1},
+                              {"mesh", "mp", 64, 1},   {"mesh", "sas", 64, 1},
+                              {"dht", "mp", 64, 1},    {"mesh", "sas", 64, 4},
+                              {"dht", "mp", 64, 4}};
   constexpr double kBudget = 1.25;  // fail when median wall regresses >25%
 
   rt::Machine machine(origin::MachineParams::origin2000_scaled(256));
   machine.set_exec_backend(rt::ExecBackend::kFibers);
   bool ok = true;
   for (const auto& g : pinned) {
-    const bench::GateRecord* base = find(g.app, g.model, g.p, g.workers, g.migrate);
+    const bench::GateRecord* base = find(g.app, g.model, g.p, g.workers);
     if (base == nullptr) {
       throw bench::GateBaselineError(
           bench::kGateSchema, std::string("bench_micro_runtime: pinned point ") + g.app + "|" +
                                   g.model + "|" + std::to_string(g.p) + "|w" +
-                                  std::to_string(g.workers) + "|m" + std::to_string(g.migrate) +
+                                  std::to_string(g.workers) +
                                   " missing from " + baseline_path +
                                   " — regenerate with --wall");
     }
     const auto model = model_from_slug(g.model);
     machine.set_workers(g.workers);
-    machine.set_migrate(g.migrate);
     std::vector<double> walls, mks;
     for (int r = 0; r < kReps; ++r) {
       const auto [w, mk] = timed_run(machine, g.app, model, g.p);
@@ -398,18 +375,16 @@ int run_gate_mode(const std::string& baseline_path) {
       mks.push_back(mk);
     }
     machine.set_workers(std::nullopt);
-    machine.set_migrate(std::nullopt);
     const double wall = median(walls);
     const bool slow = wall > base->wall_fibers_s * kBudget;
     // Virtual time is host-independent, so the gate also pins makespans —
     // bit-exactly against the committed file for every repetition (and, for
-    // workers=4 / migrate=1 points, against the workers=1 baseline value
-    // via the file).
+    // workers=4 points, against the workers=1 baseline value via the file).
     bool drifted = false;
     for (double mk : mks) drifted = drifted || mk != base->makespan_ns;
     std::fprintf(stderr,
-                 "  gate %-5s %-6s P=%-3d w=%d m=%d  wall %.3fs (budget %.3fs)%s%s\n",
-                 g.app, g.model, g.p, g.workers, g.migrate, wall,
+                 "  gate %-5s %-6s P=%-3d w=%d  wall %.3fs (budget %.3fs)%s%s\n",
+                 g.app, g.model, g.p, g.workers, wall,
                  base->wall_fibers_s * kBudget, slow ? "  WALL REGRESSION" : "",
                  drifted ? "  MAKESPAN DRIFT" : "");
     ok = ok && !slow && !drifted;

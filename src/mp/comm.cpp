@@ -108,20 +108,21 @@ void World::bind_run(rt::Pe& pe) {
   std::scoped_lock lk(bind_mu_);
   const bool want_sharded = pe.domain_serial();
   const int want_workers = want_sharded ? pe.domains() : 0;
-  if (sharded_ == want_sharded && shard_workers_ == want_workers) {
-    if (sharded_) pe.add_remap_hook(&World::remap_drain, this);
-    return;
-  }
+  if (sharded_ == want_sharded && shard_workers_ == want_workers) return;
   if (sharded_) {
     // Leaving sharded mode (World reused by a differently-shaped run):
-    // fold everything back into the locked boxes.
-    drain_all_channels();
+    // fold everything back into the locked boxes, each rank's LocalBox
+    // first, then its channels in producer order.
+    detail::Message m;
     for (int r = 0; r < nprocs_; ++r) {
       auto& src = lb_[static_cast<std::size_t>(r)].q;
       auto& dst = boxes_[static_cast<std::size_t>(r)]->q;
       while (!src.empty()) {
         dst.push_back(std::move(src.front()));
         src.pop_front();
+      }
+      for (int pw = 0; pw < shard_workers_; ++pw) {
+        while (channel(r, pw).pop(m)) dst.push_back(std::move(m));
       }
     }
     lb_.clear();
@@ -146,24 +147,7 @@ void World::bind_run(rt::Pe& pe) {
       }
     }
     sharded_ = true;
-    pe.add_remap_hook(&World::remap_drain, this);
   }
-}
-
-void World::drain_all_channels() {
-  detail::Message m;
-  for (int r = 0; r < nprocs_; ++r) {
-    for (int pw = 0; pw < shard_workers_; ++pw) {
-      auto& ch = channel(r, pw);
-      while (ch.pop(m)) lb_[static_cast<std::size_t>(r)].q.push_back(std::move(m));
-    }
-  }
-}
-
-void World::remap_drain(void* world) {
-  // Barrier quiescence, releasing PE: no producer or consumer is live, so
-  // popping every channel here is the "single consumer at a time" case.
-  static_cast<World*>(world)->drain_all_channels();
 }
 
 Comm::Comm(World& world, rt::Pe& pe) : world_(world), pe_(pe) {
@@ -176,10 +160,7 @@ void Comm::enqueue_msg(int dst, detail::Message&& m) {
   World& w = world_;
   if (w.sharded_) {
     // The owner worker of dst's queue is its domain (pinned mode: domain d
-    // == worker d).  Checking the *host* worker rather than this PE's
-    // domain keeps the fast path sound even in the one window where a
-    // fiber can run off its home worker (the barrier releaser between a
-    // remap and its yield home).
+    // == worker d).
     const int owner = pe_.domain_of(dst);
     if (pe_.host_worker() == owner) {
       // Intra-domain delivery: single host thread owns both endpoints — a
@@ -308,10 +289,10 @@ std::vector<std::byte> Comm::recv_bytes(int src, int tag) {
     // Domain-serial fast path: this fiber's host worker is the sole
     // consumer of lb_[rank] and of every channel(rank, *) — no locks.
     // Draining channels in fixed producer order before each scan keeps
-    // the scan order a pure function of message arrival order: between
-    // remaps a given src's messages ride exactly one route (direct push
-    // or one producer channel), and remap drains at quiescence, so
-    // per-src FIFO — all the matching semantics depend on — holds.
+    // the scan order a pure function of message arrival order: a given
+    // src's messages always ride exactly one route (direct push or its
+    // worker's channel), so per-src FIFO — all the matching semantics
+    // depend on — holds.
     auto& q = world_.lb_[static_cast<std::size_t>(rank())].q;
     pe_.park_until([&] {
       detail::Message in;
@@ -388,13 +369,12 @@ void Comm::barrier() {
     (void)recv_bytes(src, tag);
   }
   // A dissemination barrier synchronises virtual time with point-to-point
-  // messages and never reaches Pe::barrier — the machine-level quiescent
-  // point where migration rounds fire.  Give migration its own clock-neutral
-  // host rendezvous here (a single pointer check when migration is off).
+  // messages and never reaches Pe::barrier, the machine-level host
+  // rendezvous; the collective fence gives it one (see allreduce_sum).
   // Placing it after the last round is safe: every rank has entered the
   // barrier by now and all release messages are already posted, so no rank
   // still draining them depends on a parked PE running further.
-  pe_.migration_rendezvous();
+  pe_.collective_fence();
 }
 
 void Comm::bcast_bytes(std::span<std::byte> data, int root, int tag) {

@@ -1,21 +1,17 @@
 #include "rt/domain.hpp"
 
-#include <algorithm>
-
 #include "common/check.hpp"
 
 namespace o2k::rt {
 
 DomainMap::DomainMap(int nprocs, int domains, int pes_per_node)
-    : nprocs_(nprocs), pes_per_node_(pes_per_node) {
+    : nprocs_(nprocs) {
   O2K_REQUIRE(nprocs >= 1, "DomainMap needs at least one rank");
   O2K_REQUIRE(domains >= 1, "DomainMap needs at least one domain");
   O2K_REQUIRE(pes_per_node >= 1, "DomainMap needs at least one PE per node");
 
   const int nodes = (nprocs + pes_per_node - 1) / pes_per_node;
-  nodes_ = nodes;
   domains_ = domains < nodes ? domains : nodes;
-  active_ = domains_;
   if (domains_ == 1) return;
 
   // Block-distribute whole nodes over domains (same arithmetic as the
@@ -36,22 +32,6 @@ DomainMap::DomainMap(int nprocs, int domains, int pes_per_node)
     rank_domain_[static_cast<std::size_t>(r)] = d;
     ++owned_[static_cast<std::size_t>(d)];
   }
-}
-
-void DomainMap::rehome_node(int n, int d) {
-  O2K_REQUIRE(n >= 0 && n < nodes_, "rehome_node: node out of range");
-  O2K_REQUIRE(d >= 0 && d < domains_, "rehome_node: domain out of range");
-  if (domains_ == 1) return;
-  const int first = n * pes_per_node_;
-  const int last = std::min(first + pes_per_node_, nprocs_);
-  for (int r = first; r < last; ++r) {
-    auto& slot = rank_domain_[static_cast<std::size_t>(r)];
-    --owned_[static_cast<std::size_t>(slot)];
-    slot = d;
-    ++owned_[static_cast<std::size_t>(d)];
-  }
-  active_ = 0;
-  for (const int o : owned_) active_ += o > 0 ? 1 : 0;
 }
 
 }  // namespace o2k::rt

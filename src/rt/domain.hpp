@@ -20,18 +20,16 @@
 //      domain emits can never require a peer to observe virtual state
 //      "before" the model already forced it to exist.
 //
-// The initial map is a pure function of (nprocs, domains, pes_per_node) —
-// no host state — and rt::Remapper may later re-home whole nodes between
-// domains at barrier quiescence (rehome_node below).  Either way the
-// assignment only steers host placement; it can never perturb results.
+// The map is a pure function of (nprocs, domains, pes_per_node) — no host
+// state — and fixed for the whole run.  It only steers host placement; it
+// can never perturb results.
 #pragma once
 
 #include <vector>
 
 namespace o2k::rt {
 
-/// Rank→domain partition by whole nodes: initially contiguous node slices,
-/// later possibly re-homed node by node (adaptive migration).
+/// Rank→domain partition by whole nodes: contiguous node slices.
 class DomainMap {
  public:
   /// Trivial single-domain map (every rank in domain 0).
@@ -45,17 +43,9 @@ class DomainMap {
 
   [[nodiscard]] int domains() const { return domains_; }
   [[nodiscard]] int nprocs() const { return nprocs_; }
-  [[nodiscard]] int nodes() const { return nodes_; }
-  [[nodiscard]] int pes_per_node() const { return pes_per_node_; }
 
   [[nodiscard]] int domain_of(int rank) const {
     return domains_ == 1 ? 0 : rank_domain_[static_cast<std::size_t>(rank)];
-  }
-
-  /// Domain of node `n` (all its ranks share one domain by construction,
-  /// and rehome_node moves them together).
-  [[nodiscard]] int node_domain(int n) const {
-    return domain_of(n * pes_per_node_);
   }
 
   /// Ranks owned by domain `d`.
@@ -63,32 +53,14 @@ class DomainMap {
     return domains_ == 1 ? nprocs_ : owned_[static_cast<std::size_t>(d)];
   }
 
-  /// Domains that currently own at least one rank.  Equals domains() at
-  /// construction; adaptive migration may empty a domain, and the staged
-  /// barrier combine must then wait for arrivals from the populated
-  /// domains only.
-  [[nodiscard]] int active_domains() const { return domains_ == 1 ? 1 : active_; }
-
   /// Full rank→domain table (the fiber-engine affinity vector).  Empty for
-  /// the trivial single-domain map.  The vector's storage never moves after
-  /// construction — the engine aliases its data for the whole run, so
-  /// rehome_node updates propagate to fiber routing in place.
+  /// the trivial single-domain map.  The engine aliases its data for the
+  /// whole run.
   [[nodiscard]] const std::vector<int>& affinity() const { return rank_domain_; }
-
-  /// Move every rank of node `n` to domain `d`.  Migration granularity is
-  /// the node, never a single PE: cross-domain then still implies
-  /// cross-node, which is what makes the conservative-lookahead invariant
-  /// (MachineParams::cross_domain_lookahead_ns) survive remapping.  Must
-  /// only be called at barrier quiescence (rt::Remapper), when no other PE
-  /// runs and no worker reads the affinity table.
-  void rehome_node(int n, int d);
 
  private:
   int nprocs_ = 1;
   int domains_ = 1;
-  int nodes_ = 1;
-  int pes_per_node_ = 1;
-  int active_ = 1;                ///< domains owning >= 1 rank
   std::vector<int> rank_domain_;  ///< rank -> domain (empty when domains_ == 1)
   std::vector<int> owned_;        ///< domain -> rank count
 };

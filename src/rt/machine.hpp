@@ -49,7 +49,6 @@
 #include "origin/params.hpp"
 #include "rt/domain.hpp"
 #include "rt/phase.hpp"
-#include "rt/remap.hpp"
 
 namespace o2k::rt {
 
@@ -143,8 +142,7 @@ class Pe {
   /// Synchronization domain of this PE / of `rank` under the current run's
   /// DomainMap (always 0 at O2K_WORKERS=1).  Model runtimes use this to
   /// recognise cross-domain traffic, e.g. for the conservative-lookahead
-  /// invariant checks in mp/shmem.  With migration enabled the answer can
-  /// change across barrier epochs (host placement only — never a cost).
+  /// invariant checks in mp/shmem.  Host placement only — never a cost.
   [[nodiscard]] int domain() const;
   [[nodiscard]] int domain_of(int rank) const;
 
@@ -176,16 +174,12 @@ class Pe {
   [[nodiscard]] bool tracing() const { return sink_ != nullptr; }
   /// A transfer this PE initiates towards `dst` (canonical comm-matrix
   /// observation: me -> dst).  Pass `in_matrix=false` for control traffic
-  /// (signals, ...) that no byte counter accounts for.  Canonical matrix
-  /// observations also feed the migration byte counters when a Remapper is
-  /// active — same accounting, observer-only either way.
+  /// (signals, ...) that no byte counter accounts for.
   void trace_send(int dst, std::size_t bytes, bool in_matrix = true) {
-    if (remap_ && in_matrix) remap_->note(rank_, dst, static_cast<std::uint64_t>(bytes));
     if (sink_) sink_->on_message(rank_, rank_, dst, bytes, clock_, in_matrix);
   }
   /// Arrival of a transfer from `src` whose send side already accrued to
-  /// the matrix (two-sided receives: trace-only, and not re-counted for
-  /// migration either).
+  /// the matrix (two-sided receives: trace-only).
   void trace_recv(int src, std::size_t bytes) {
     if (sink_) sink_->on_message(rank_, src, rank_, bytes, clock_, /*in_matrix=*/false);
   }
@@ -193,15 +187,8 @@ class Pe {
   /// line fetch).  `in_matrix=false` records trace-only events, e.g.
   /// remote atomics that no byte counter accounts for.
   void trace_pull(int src, std::size_t bytes, bool in_matrix = true) {
-    if (remap_ && in_matrix) remap_->note(rank_, src, static_cast<std::uint64_t>(bytes));
     if (sink_) sink_->on_message(rank_, src, rank_, bytes, clock_, in_matrix);
   }
-
-  /// True when a Remapper is accumulating migration counters this run.
-  /// Runtimes whose canonical transfer observations are sink-gated (the
-  /// CC-SAS remote-line batches) use this to emit them for migration even
-  /// without a metrics sink attached.
-  [[nodiscard]] bool migration_active() const { return remap_ != nullptr; }
 
   [[nodiscard]] PhaseStats& stats() { return stats_; }
 
@@ -230,24 +217,22 @@ class Pe {
   /// epoch-commit callbacks through their Pe handle).
   void add_barrier_hook(BarrierHookFn fn, void* ctx);
 
-  /// Forwarded to Machine::add_remap_hook: run at barrier quiescence just
-  /// before a migration round mutates the domain map (mp::World drains its
-  /// cross-worker payload channels here so per-source FIFO survives a
-  /// producer changing workers).
-  void add_remap_hook(BarrierHookFn fn, void* ctx);
-
-  /// Clock-neutral migration point for runtimes whose barriers are built
-  /// from point-to-point messages (mp::Comm's dissemination barrier) and so
-  /// never pass through Pe::barrier — the only machine-level quiescent
-  /// point where remap rounds normally fire.  Collective over all ranks:
-  /// every PE parks on the host until the team has arrived, the last
-  /// arrival runs the remap round, and everyone re-homes on wake.  No
-  /// virtual clock is read or written, so armed and unarmed runs follow
-  /// identical virtual-time trajectories.  When migration is off this is
-  /// one pointer check.  Safe to place right after a message-built barrier
-  /// completes: its release messages are already posted, so ranks still
-  /// draining them cannot depend on a parked PE running further.
-  void migration_rendezvous();
+  /// Host rendezvous at the exit of a synchronizing collective built from
+  /// point-to-point messages (mp::Comm's allreduce, allgather(v),
+  /// alltoallv and dissemination barrier), which never pass through
+  /// Pe::barrier.  Collective over all ranks: every PE parks on the host
+  /// until the whole team has arrived.  It exists for the pinned fiber
+  /// scheduler, where fibers run to their next park without preemption:
+  /// without it, a rank that leaves an exchange early starts a long
+  /// compute loop and holds its domain's worker, while same-domain ranks
+  /// still inside the exchange starve and stall their partners in other
+  /// domains (DESIGN.md §13).  Active exactly when domain_serial() holds;
+  /// a no-op otherwise (one worker, threads backend, single-PE runs).  No
+  /// virtual clock is read or written, so virtual times are identical
+  /// with or without it.  Safe only where every message of the collective
+  /// is posted by the time a rank exits it, so ranks still draining them
+  /// never depend on a parked PE running further.
+  void collective_fence();
 
   /// Named checkpoint rendezvous point (campaign checkpoint/fork support).
   ///
@@ -274,7 +259,6 @@ class Pe {
   const origin::MachineParams* params_;
   Machine* machine_;
   metrics::Sink* sink_ = nullptr;  ///< optional observer; never affects clocks
-  Remapper* remap_ = nullptr;      ///< migration counters; never affects clocks
   double clock_ = 0.0;
   PhaseStats stats_;
   PhaseId cur_phase_{};            ///< innermost PhaseScope (analysis hooks)
@@ -326,19 +310,10 @@ class Machine {
   /// Rank→domain partition of the current/last run.
   [[nodiscard]] const DomainMap& domains() const { return domain_map_; }
 
-  /// Force an adaptive-migration interval for subsequent runs (tests,
-  /// benches, the --migrate CLI flag), or std::nullopt to return to the
-  /// O2K_MIGRATE environment default (0 = off).  `N >= 1` remaps every N
-  /// barrier rounds.  Migration needs the domain-serial substrate (pinned
-  /// fibers, workers > 1); anywhere else — threads backend, one worker,
-  /// single-PE runs — an enabled interval is safely inert.  Virtual times
-  /// are bit-identical at every setting (host placement only).
-  void set_migrate(std::optional<int> n) { migrate_override_ = n; }
-  /// Migration interval the current/last run resolved (0 = off).
-  [[nodiscard]] int migrate_interval() const { return run_migrate_; }
-  /// The run's Remapper, or nullptr when migration is off/inert
-  /// (diagnostics: rounds seen, nodes moved).
-  [[nodiscard]] const Remapper* remapper() const { return remapper_.get(); }
+  /// Completed Pe::collective_fence rounds of the current/last run (0 when
+  /// the fence was inert).  Tests use it to prove the fence is live
+  /// exactly on the domain-serial substrate.
+  [[nodiscard]] std::uint64_t fence_rounds() const { return fence_rounds_; }
 
   /// See Pe::domain_serial / Pe::host_worker.
   [[nodiscard]] bool domain_serial() const { return engine_ != nullptr && run_workers_ > 1; }
@@ -352,13 +327,6 @@ class Machine {
   /// sas::World).  Hooks are cleared at the start of every run; duplicate
   /// (fn, ctx) registrations collapse to one.  Thread-safe.
   void add_barrier_hook(BarrierHookFn fn, void* ctx);
-
-  /// Register `fn(ctx)` to run at barrier quiescence immediately before a
-  /// migration round mutates the domain map (after the barrier hooks of
-  /// that round).  Runtimes drain their cross-worker lock-free structures
-  /// here.  Same lifecycle as barrier hooks: cleared at the start of every
-  /// run, duplicate (fn, ctx) collapse, thread-safe registration.
-  void add_remap_hook(BarrierHookFn fn, void* ctx);
 
   // ---- checkpoint rendezvous (campaign snapshot/fork support) -----------
   /// Callback fired on the last-arriving PE of an armed checkpoint
@@ -433,10 +401,10 @@ class Machine {
     std::vector<std::unique_ptr<Stage>> stages;  ///< one per domain when workers > 1
   };
 
-  // Host-only arrive/release point for Pe::migration_rendezvous: counts
+  // Host-only arrive/release point for Pe::collective_fence: counts
   // arrivals under `mu`, publishes releases through the atomic generation.
   // Clock-neutral by construction — no field ever feeds a virtual time.
-  struct RendezvousState {
+  struct FenceState {
     std::mutex mu;
     int waiting = 0;
     std::atomic<std::uint64_t> generation{0};
@@ -455,28 +423,18 @@ class Machine {
   metrics::Sink* sink_ = nullptr;
   std::optional<ExecBackend> backend_override_;
   std::optional<int> workers_override_;
-  std::optional<int> migrate_override_;
   DomainMap domain_map_;     ///< rank→domain partition of the current run
   int run_workers_ = 1;      ///< domains the current/last run uses
-  int run_migrate_ = 0;      ///< resolved migration interval (0 = off)
-  std::unique_ptr<Remapper> remapper_;  ///< non-null while migration is live
   int resolve_workers(int nprocs) const;
-  int resolve_migrate() const;
-  /// Barrier-release remap point: on remap rounds, run the remap hooks
-  /// (drain cross-worker channels) and apply the Remapper's moves to the
-  /// domain map.  Caller is the releasing PE at quiescence.
-  void maybe_remap();
-  /// After a remap changed the releasing PE's own assignment, bounce its
-  /// fiber to the new home worker before it resumes simulated work.
-  void yield_home(int rank);
-  /// Backing implementation of Pe::migration_rendezvous.
-  void migration_rendezvous(Pe& pe);
+  /// Backing implementation of Pe::collective_fence.
+  void collective_fence(Pe& pe);
 
   // Per-run state (valid while run() is active).  Slots grow monotonically
   // and are never destroyed mid-run, so a PE may park on its slot at any
   // point of the run.
   std::unique_ptr<BarrierState> barrier_;
-  std::unique_ptr<RendezvousState> rendezvous_;
+  std::unique_ptr<FenceState> fence_;
+  std::uint64_t fence_rounds_ = 0;  ///< completed fence rounds (under fence_->mu)
   std::unique_ptr<CheckpointState> checkpoint_;
   std::vector<std::unique_ptr<Pe>> pes_;
   std::vector<std::unique_ptr<WaitSlot>> slots_;
@@ -494,9 +452,7 @@ class Machine {
 
   std::mutex hooks_mu_;
   std::vector<std::pair<BarrierHookFn, void*>> barrier_hooks_;
-  std::vector<std::pair<BarrierHookFn, void*>> remap_hooks_;
   void run_barrier_hooks();
-  void run_remap_hooks();
 
   // Checkpoint arming (set between runs; read by every PE inside a run).
   std::atomic<bool> cp_armed_{false};

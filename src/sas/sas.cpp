@@ -340,9 +340,7 @@ void Team::touch_read_ann(std::size_t off, std::size_t bytes, std::size_t elem,
   double premium = 0.0;
   std::uint64_t misses = 0;
   std::uint64_t remote = 0;
-  // Remote-line observations feed the metrics sink and, when a Remapper is
-  // active, the migration byte counters — emit them for either consumer.
-  const bool tracing = pe_.tracing() || pe_.migration_active();
+  const bool tracing = pe_.tracing();
   // Batched walk: the page home is resolved once per page crossed — lazily,
   // on the first *missing* line of the page, so first-touch placement is
   // triggered by exactly the same accesses as the per-line implementation.
@@ -423,8 +421,7 @@ void Team::touch_write_ann(std::size_t off, std::size_t bytes, std::size_t elem,
   std::uint64_t misses = 0;
   std::uint64_t remote = 0;
   std::uint64_t transfers = 0;
-  // See touch_read: observations feed the sink and/or the Remapper.
-  const bool tracing = pe_.tracing() || pe_.migration_active();
+  const bool tracing = pe_.tracing();
   // Batched walk: see touch_read for the hoisting, shard-window,
   // bit-identity and epoch-stability notes.  Every charge below is a
   // function of committed (barrier-separated) state plus this PE's own

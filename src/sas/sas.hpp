@@ -173,7 +173,7 @@ class World {
   // is host memory *layout* only: indices stay global, every value and
   // every charge is identical to the former flat arrays, and the shard
   // count is a construction-time block approximation of the run's worker
-  // count (homes migrate at barriers; storage does not follow).
+  // count.
   //
   // Semantics of the cells are unchanged from the flat layout: committed
   // home / version / writer mutate only in serial context or at barrier

@@ -503,5 +503,16 @@ TEST(DhtMain, RejectsNonPositiveProcessorCount) {
   }
 }
 
+// Adaptive migration is gone: --migrate is an ordinary unknown flag, so the
+// app binary rejects it as a usage error (exit 2 next to the help text)
+// rather than accepting it or ending in std::terminate.
+TEST(DhtMain, MigrateIsAnUnknownFlag) {
+  testing::internal::CaptureStderr();
+  const int rc = run_dht_main({"dht_mp", "--p=4", "--migrate=1"});
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(rc, 2);
+  EXPECT_NE(err.find("unknown flag --migrate"), std::string::npos) << err;
+}
+
 }  // namespace
 }  // namespace o2k

@@ -17,7 +17,6 @@
 #include "metrics/sink.hpp"
 #include "mp/comm.hpp"
 #include "rt/machine.hpp"
-#include "rt/remap.hpp"
 
 namespace o2k::rt {
 namespace {
@@ -309,9 +308,7 @@ inline apps::DhtConfig dht_golden_config(int p) {
   return cfg;
 }
 
-inline RunResult run_case(const Case& c, metrics::Sink* sink) {
-  Machine machine;
-  machine.set_sink(sink);
+inline RunResult run_case(const Case& c, Machine& machine) {
   if (std::string(c.app) == "nbody") {
     apps::NbodyConfig cfg;
     cfg.n = 2048;
@@ -325,6 +322,12 @@ inline RunResult run_case(const Case& c, metrics::Sink* sink) {
   cfg.nx = cfg.ny = cfg.nz = 6;
   cfg.phases = 2;
   return apps::run_mesh(c.model, machine, c.p, cfg).run;
+}
+
+inline RunResult run_case(const Case& c, metrics::Sink* sink) {
+  Machine machine;
+  machine.set_sink(sink);
+  return run_case(c, machine);
 }
 
 /// Parse the fixture into per-case sections keyed by their "== ..." header.
@@ -433,20 +436,7 @@ TEST(DomainDeterminism, GoldenCasesBitIdenticalAcrossWorkersAndBackends) {
         Machine machine;
         machine.set_exec_backend(b);
         machine.set_workers(workers);
-        if (std::string(c.app) == "nbody") {
-          apps::NbodyConfig cfg;
-          cfg.n = 2048;
-          cfg.steps = 2;
-          return golden::canonical(apps::run_nbody(c.model, machine, c.p, cfg).run);
-        }
-        if (std::string(c.app) == "dht") {
-          return golden::canonical(
-              apps::run_dht(c.model, machine, c.p, golden::dht_smoke_config()).run);
-        }
-        apps::MeshConfig cfg;
-        cfg.nx = cfg.ny = cfg.nz = 6;
-        cfg.phases = 2;
-        return golden::canonical(apps::run_mesh(c.model, machine, c.p, cfg).run);
+        return golden::canonical(golden::run_case(c, machine));
       };
       const std::string base = run_with(ExecBackend::kFibers, 1);
       for (auto b : {ExecBackend::kFibers, ExecBackend::kThreads}) {
@@ -537,99 +527,137 @@ TEST(DomainDeterminism, CrossDomainAnyTagWakeStress) {
 }
 
 // ---------------------------------------------------------------------------
-// Adaptive migration (rt::Remapper, DESIGN.md §13) is host-placement-only:
-// with the most aggressive cadence (remap every barrier) every golden case
-// must still be bit-identical to the workers=1, migration-off result, under
-// both backends.  The threads legs double as inertness proof: migration
-// needs the pinned fiber engine, so there the interval is accepted but a
-// Remapper never runs.
+// Collective fence (Pe::collective_fence, DESIGN.md §13): the host
+// rendezvous at the exit of MP's synchronizing collectives.  It is
+// clock-neutral, so every committed golden case must reproduce its fixture
+// bit-for-bit on the pinned scheduler at W in {1, 2, 4} — and the fence must
+// be live exactly there (MP runs at W > 1 complete fence rounds; W = 1
+// completes none), so it can never silently rot.
 // ---------------------------------------------------------------------------
 
-TEST(DomainDeterminism, GoldenCasesBitIdenticalWithMigration) {
-  for (const char* app : {"nbody", "mesh", "dht"}) {
-    for (auto model : {apps::Model::kMp, apps::Model::kShmem, apps::Model::kSas}) {
-      const golden::Case c{app, model, 8};  // 4 nodes -> up to 4 domains
-      SCOPED_TRACE(golden::case_key(c));
-      int remap_rounds = 0;
-      auto run_with = [&](ExecBackend b, int workers, int migrate) {
-        Machine machine;
-        machine.set_exec_backend(b);
-        machine.set_workers(workers);
-        machine.set_migrate(migrate);
-        std::string canon;
-        if (std::string(c.app) == "nbody") {
-          apps::NbodyConfig cfg;
-          cfg.n = 2048;
-          cfg.steps = 2;
-          canon = golden::canonical(apps::run_nbody(c.model, machine, c.p, cfg).run);
-        } else if (std::string(c.app) == "dht") {
-          canon = golden::canonical(
-              apps::run_dht(c.model, machine, c.p, golden::dht_smoke_config()).run);
-        } else {
-          apps::MeshConfig cfg;
-          cfg.nx = cfg.ny = cfg.nz = 6;
-          cfg.phases = 2;
-          canon = golden::canonical(apps::run_mesh(c.model, machine, c.p, cfg).run);
-        }
-        remap_rounds = machine.remapper() != nullptr ? machine.remapper()->rounds() : 0;
-        return canon;
-      };
-      const std::string base = run_with(ExecBackend::kFibers, 1, 0);
-      for (auto b : {ExecBackend::kFibers, ExecBackend::kThreads}) {
-        for (int w : {1, 2, 4}) {
-          EXPECT_EQ(base, run_with(b, w, 1))
-              << "virtual time moved under backend="
-              << (b == ExecBackend::kFibers ? "fibers" : "threads") << " workers=" << w
-              << " migrate=1";
-          if (b == ExecBackend::kFibers && w > 1 && exec::fibers_supported()) {
-            // The Remapper must actually have been live, not silently inert.
-            EXPECT_GT(remap_rounds, 0) << "no remap rounds at workers=" << w;
-          }
-        }
+TEST(DomainDeterminism, GoldenFixtureBitIdenticalWithCollectiveFence) {
+  auto fixture = golden::load_fixture(O2K_GOLDEN_FILE);
+  for (const auto& c : golden::cases()) {
+    if (c.p == 1) continue;  // inline run: no domains to shard
+    const std::string key = golden::case_key(c);
+    SCOPED_TRACE(key);
+    ASSERT_TRUE(fixture.count(key)) << "fixture section missing";
+    const std::string& body = fixture[key];
+    const std::string want = body.substr(0, body.rfind("sink "));
+    for (int w : {1, 2, 4}) {
+      if (w > c.p) continue;
+      Machine machine;
+      machine.set_exec_backend(ExecBackend::kFibers);
+      machine.set_workers(w);
+      EXPECT_EQ(want, golden::canonical(golden::run_case(c, machine))) << "workers=" << w;
+      if (c.model != apps::Model::kMp) continue;
+      if (machine.exec_backend() == ExecBackend::kFibers && machine.workers() > 1) {
+        EXPECT_GT(machine.fence_rounds(), 0u) << "fence inert at workers=" << w;
+      } else {
+        EXPECT_EQ(machine.fence_rounds(), 0u) << "fence live at workers=" << w;
       }
     }
   }
 }
 
-// Remapper unit semantics: under synthetic traffic where every byte is
-// cross-domain at the initial map (disjoint node pairs split across
-// domains), the greedy self-clustering pass must converge to a map with
-// *zero* cross-domain bytes for that pattern — and then hold it (no
-// oscillation: the live-map pass and the 2x hysteresis keep a settled pair
-// together).
-TEST(Remapper, AllCrossTrafficConvergesToZeroCrossBytes) {
-  constexpr int kP = 8, kPpn = 2;          // 4 nodes
-  DomainMap dm(kP, 4, kPpn);               // node i -> domain i
-  Remapper rm(kP, kPpn, /*interval=*/1);
-  ASSERT_EQ(dm.domains(), 4);
+/// Counts completed two-sided receives per rank (Pe::trace_recv fires
+/// on_message on the receiving PE) in host atomics, so any PE can read how
+/// far every other PE has got.  Observer-only, like every sink.
+class RecvCountingSink final : public metrics::Sink {
+ public:
+  explicit RecvCountingSink(int nprocs) : recvs_(static_cast<std::size_t>(nprocs)) {}
+  void on_phase_begin(int, std::string_view, double) override {}
+  void on_phase_end(int, std::string_view, double) override {}
+  void on_counter(int, std::string_view, std::uint64_t, double) override {}
+  void on_barrier(int, double, double) override {}
+  void on_message(int pe, int src, int dst, std::uint64_t, double, bool) override {
+    if (pe == dst && src != dst)
+      recvs_[static_cast<std::size_t>(pe)].fetch_add(1, std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t recvs(int r) const {
+    return recvs_[static_cast<std::size_t>(r)].load(std::memory_order_relaxed);
+  }
 
-  // Nodes 0<->1 and 2<->3 exchange all traffic; both pairs straddle domain
-  // boundaries, so 100% of window bytes start cross-domain.
-  auto fill = [&] {
-    rm.note(/*rank=*/0, /*peer=*/2, 1000);  // node 0 -> node 1
-    rm.note(/*rank=*/3, /*peer=*/1, 1000);  // node 1 -> node 0
-    rm.note(/*rank=*/4, /*peer=*/6, 1000);  // node 2 -> node 3
-    rm.note(/*rank=*/7, /*peer=*/5, 1000);  // node 3 -> node 2
+ private:
+  std::vector<std::atomic<std::uint64_t>> recvs_;
+};
+
+// The fence's contract, observed from outside: when alltoallv, allgatherv,
+// allreduce_sum or barrier returns on any rank at W = 4, every rank has
+// already completed its receives for that collective.  (Without the fence a
+// rank that leaves an exchange early runs on while peers of its own domain
+// are still inside it — the pinned-worker convoy.)  The per-rank receive
+// count at each collective's exit is a pure function of the collective
+// algorithms, so a W = 1 run records it and the W = 4 run checks it at
+// every exit.  At W = 1 and under the threads backend the fence is inert.
+TEST(CollectiveFence, EveryRankHasReceivedWhenACollectiveReturns) {
+  constexpr int kP = 16;
+  constexpr int kIters = 8;
+  constexpr int kColls = 4;  // alltoallv, allgatherv, allreduce_sum, barrier
+  constexpr int kExits = kIters * kColls;
+  // want[e][r]: rank r's cumulative receives when it leaves exit e.
+  std::vector<std::vector<std::uint64_t>> want(kExits, std::vector<std::uint64_t>(kP, 0));
+  std::atomic<int> violations[kColls]{};
+
+  auto run_with = [&](ExecBackend b, int workers, bool record) {
+    Machine machine;
+    machine.set_exec_backend(b);
+    machine.set_workers(workers);
+    RecvCountingSink sink(kP);
+    machine.set_sink(&sink);
+    mp::World world(machine.params(), kP);
+    const RunResult rr = machine.run(kP, [&](Pe& pe) {
+      mp::Comm comm(world, pe);
+      const int me = pe.rank();
+      std::size_t exit_no = 0;
+      auto at_exit = [&](int coll) {
+        auto& row = want[exit_no++];
+        if (record) {
+          row[static_cast<std::size_t>(me)] = sink.recvs(me);
+          return;
+        }
+        for (int q = 0; q < kP; ++q) {
+          if (sink.recvs(q) < row[static_cast<std::size_t>(q)]) {
+            violations[coll].fetch_add(1, std::memory_order_relaxed);
+            return;
+          }
+        }
+      };
+      for (int i = 0; i < kIters; ++i) {
+        // Skewed compute so ranks reach each collective at different times.
+        pe.advance(static_cast<double>(((me * 7 + i * 13) % 11) * 1000));
+        const std::vector<std::vector<int>> out(
+            kP, std::vector<int>(static_cast<std::size_t>(me % 3 + 1), me));
+        const auto in = comm.alltoallv(out);
+        EXPECT_EQ(in[static_cast<std::size_t>((me + 1) % kP)].front(), (me + 1) % kP);
+        at_exit(0);
+        const std::vector<int> mine(static_cast<std::size_t>(me % 4 + 1), me);
+        (void)comm.allgatherv(std::span<const int>(mine));
+        at_exit(1);
+        EXPECT_EQ(comm.allreduce_sum(me), kP * (kP - 1) / 2);
+        at_exit(2);
+        comm.barrier();
+        at_exit(3);
+      }
+    });
+    machine.set_sink(nullptr);
+    return std::pair(golden::canonical(rr), machine.fence_rounds());
   };
-  fill();
-  EXPECT_EQ(rm.window_total_bytes(), 4000u);
-  EXPECT_EQ(rm.window_cross_bytes(dm), 4000u);
 
-  ASSERT_TRUE(rm.due_this_round());
-  EXPECT_GT(rm.apply(dm), 0);
+  const auto [base, base_rounds] = run_with(ExecBackend::kFibers, 1, /*record=*/true);
+  EXPECT_EQ(base_rounds, 0u) << "fence must be inert on the shared scheduler (W = 1)";
+  const auto [threads, threads_rounds] = run_with(ExecBackend::kThreads, 4, /*record=*/false);
+  EXPECT_EQ(threads_rounds, 0u) << "fence must be inert under the threads backend";
+  EXPECT_EQ(base, threads);
 
-  // The settled map keeps each chatty pair in one domain: refill the same
-  // pattern and no byte is cross-domain any more, and no further round
-  // moves anything.
-  fill();
-  EXPECT_EQ(rm.window_cross_bytes(dm), 0u);
-  ASSERT_TRUE(rm.due_this_round());
-  EXPECT_EQ(rm.apply(dm), 0);
-  EXPECT_EQ(rm.rounds(), 2);
-
-  // Node granularity held: both ranks of every node share a domain.
-  for (int n = 0; n < 4; ++n) {
-    EXPECT_EQ(dm.domain_of(n * kPpn), dm.domain_of(n * kPpn + 1)) << "node " << n;
+  for (auto& v : violations) v.store(0);
+  const auto [pinned, pinned_rounds] = run_with(ExecBackend::kFibers, 4, /*record=*/false);
+  EXPECT_EQ(base, pinned);
+  if (!exec::fibers_supported()) GTEST_SKIP() << "fibers unsupported here (TSan build)";
+  EXPECT_EQ(pinned_rounds, static_cast<std::uint64_t>(kExits));
+  const char* names[kColls] = {"alltoallv", "allgatherv", "allreduce_sum", "barrier"};
+  for (int k = 0; k < kColls; ++k) {
+    EXPECT_EQ(violations[k].load(), 0) << names[k] << " returned before every rank received";
   }
 }
 

@@ -33,11 +33,12 @@ struct Options {
 /// Scope table: which checks run over which part of src/.  Files outside
 /// src/ (test fixtures) get every enabled check.
 ///
-/// Note "src/rt/" deliberately covers the migration layer too
-/// (src/rt/remap.*, src/rt/domain.*): the Remapper's byte counters and
-/// the quiescent-round apply are simulated-path code — a wall clock or
-/// unordered iteration there would leak host order into which nodes move,
-/// and CI forbids baselining anything under src/rt/ back out.
+/// Note "src/rt/" deliberately covers the host-side synchronization layer
+/// too (src/rt/domain.*, the barrier staging and the collective fence in
+/// src/rt/machine.*): it is simulated-path code that must stay
+/// clock-neutral — a wall clock or unordered iteration there would leak
+/// host order into virtual time — and CI forbids baselining anything
+/// under src/rt/ back out.
 const std::vector<std::string>& scope_prefixes(const std::string& check) {
   static const std::vector<std::string> kSimPaths{
       "src/rt/",   "src/mp/",   "src/shmem/", "src/sas/", "src/nbody/",
