@@ -6,6 +6,7 @@
 #include <functional>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "apps/dht_app.hpp"
@@ -75,8 +76,19 @@ CheckpointCli checkpoint_cli(const Cli& cli, const char* app_slug, const char* m
   return cp;
 }
 
-/// Shared outer driver: CLI/usage errors exit 2 next to the help text,
-/// snapshot IO/config problems exit 12, a diverging verified replay 13.
+/// A flag parsed into an unsigned config field: negative values would wrap
+/// to huge counts, so they are usage errors.
+std::int64_t count_flag(const Cli& cli, const char* name, std::int64_t fallback) {
+  const std::int64_t v = cli.get_int(name, fallback);
+  if (v < 0) throw CliError(std::string("--") + name + " expects a count >= 0");
+  return v;
+}
+
+/// Shared outer wrapper of the app mains: CLI/usage errors exit 2 next to
+/// the help text, a config the app rejects (std::invalid_argument from
+/// O2K_REQUIRE, thrown before or during the run) exits 2 with its one-line
+/// reason, snapshot IO/config problems exit 12, a diverging verified
+/// replay 13.
 template <typename Body>
 int main_guard(int argc, char** argv, const std::map<std::string, std::string>& flags,
                Body body) {
@@ -91,6 +103,9 @@ int main_guard(int argc, char** argv, const std::map<std::string, std::string>& 
     std::cerr << argv[0] << ": " << e.what() << '\n';
     const char* const argv0[] = {argv[0]};
     std::cerr << Cli(1, argv0, flags).help();
+    return campaign::kExitUsage;
+  } catch (const std::invalid_argument& e) {
+    std::cerr << argv[0] << ": invalid configuration: " << e.what() << '\n';
     return campaign::kExitUsage;
   } catch (const campaign::SnapshotMismatch& e) {
     std::cerr << argv[0] << ": " << e.what() << '\n';
@@ -236,7 +251,7 @@ int nbody_main(int argc, char** argv, Model model) {
   add_checkpoint_flags(flags, "step");
   return main_guard(argc, argv, flags, [&](const Cli& cli) {
     NbodyConfig cfg;
-    cfg.n = static_cast<std::size_t>(cli.get_int("n", static_cast<std::int64_t>(cfg.n)));
+    cfg.n = static_cast<std::size_t>(count_flag(cli, "n", static_cast<std::int64_t>(cfg.n)));
     cfg.steps = static_cast<int>(cli.get_int("steps", cfg.steps));
     cfg.theta = cli.get_double("theta", cfg.theta);
     cfg.seed =
@@ -305,14 +320,14 @@ int dht_main(int argc, char** argv, Model model) {
     DhtConfig cfg;
     cfg.nodes_per_pe = static_cast<int>(cli.get_int("nodes-per-pe", cfg.nodes_per_pe));
     cfg.keys = static_cast<std::uint32_t>(
-        cli.get_int("keys", static_cast<std::int64_t>(cfg.keys)));
+        count_flag(cli, "keys", static_cast<std::int64_t>(cfg.keys)));
     cfg.requests = static_cast<std::uint64_t>(
-        cli.get_int("requests", static_cast<std::int64_t>(cfg.requests)));
+        count_flag(cli, "requests", static_cast<std::int64_t>(cfg.requests)));
     cfg.window = static_cast<std::uint64_t>(
-        cli.get_int("window", static_cast<std::int64_t>(cfg.window)));
+        count_flag(cli, "window", static_cast<std::int64_t>(cfg.window)));
     cfg.replicas = static_cast<int>(cli.get_int("replicas", cfg.replicas));
     cfg.churn_every = static_cast<std::uint64_t>(
-        cli.get_int("churn-every", static_cast<std::int64_t>(cfg.churn_every)));
+        count_flag(cli, "churn-every", static_cast<std::int64_t>(cfg.churn_every)));
     cfg.zipf_s = cli.get_double("zipf-s", cfg.zipf_s);
     cfg.put_percent = static_cast<int>(cli.get_int("put-percent", cfg.put_percent));
     cfg.seed =

@@ -18,11 +18,14 @@
 // *outside* the rt wait registry.  That is safe only because the computing
 // PE never enters virtual-time waits inside `fn` (the functions memoised
 // here are pure host computations), so the wait always terminates and
-// cannot deadlock against barriers or aborts.
+// cannot deadlock against barriers or aborts.  When `fn` throws, the entry
+// keeps the exception and every caller for that key — the computing PE and
+// each waiter — rethrows it, so no waiter is left blocked.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -35,7 +38,8 @@ class Replicated {
  public:
   /// Return the shared result for `key`, running `fn` on the first caller.
   /// `fn` must be a pure function whose value is identical across PEs for
-  /// the same key, and must not block on virtual-time events.
+  /// the same key, and must not block on virtual-time events.  If `fn`
+  /// throws, every call for `key` rethrows that exception.
   template <typename Fn>
   std::shared_ptr<const T> get(std::uint64_t key, Fn&& fn) {
     std::unique_lock lk(mu_);
@@ -43,22 +47,30 @@ class Replicated {
     if (e.state == Entry::kIdle) {
       e.state = Entry::kComputing;
       lk.unlock();
-      auto value = std::make_shared<const T>(fn());
+      std::shared_ptr<const T> value;
+      std::exception_ptr error;
+      try {
+        value = std::make_shared<const T>(fn());
+      } catch (...) {
+        error = std::current_exception();
+      }
       lk.lock();
       e.value = std::move(value);
-      e.state = Entry::kReady;
+      e.error = error;
+      e.state = Entry::kDone;
       cv_.notify_all();
-      return e.value;
     }
-    cv_.wait(lk, [&] { return e.state == Entry::kReady; });
+    cv_.wait(lk, [&] { return e.state == Entry::kDone; });
+    if (e.error) std::rethrow_exception(e.error);
     return e.value;
   }
 
  private:
   struct Entry {
-    enum State : std::uint8_t { kIdle, kComputing, kReady };
+    enum State : std::uint8_t { kIdle, kComputing, kDone };
     State state = kIdle;
     std::shared_ptr<const T> value;
+    std::exception_ptr error;  ///< set instead of `value` when `fn` threw
   };
   std::mutex mu_;
   std::condition_variable cv_;

@@ -20,6 +20,8 @@ World::World(const origin::MachineParams& params, int nprocs)
     : params_(params), nprocs_(nprocs) {
   O2K_REQUIRE(nprocs >= 1, "mp::World needs at least one rank");
   O2K_REQUIRE(nprocs <= params.max_pes, "mp::World larger than the machine");
+  a2a_ = std::vector<detail::AlltoallvSlot>(static_cast<std::size_t>(nprocs));
+  a2a_lanes_.resize(static_cast<std::size_t>(nprocs));
   boxes_.reserve(static_cast<std::size_t>(nprocs));
   for (int r = 0; r < nprocs; ++r) boxes_.emplace_back(std::make_unique<detail::Mailbox>());
   if (auto* s = sanitize::active()) s->begin_mp_world(nprocs);
@@ -375,6 +377,155 @@ void Comm::barrier() {
   // barrier by now and all release messages are already posted, so no rank
   // still draining them depends on a parked PE running further.
   pe_.collective_fence();
+}
+
+// ---- alltoallv ------------------------------------------------------------
+//
+// Step s of the pairwise exchange pairs rank r's send with rank (r+s)'s
+// receive and nothing else: one tag serves the whole collective, but r
+// sends to r+s at step s only, so per-source FIFO matching can pair that
+// message with no other receive.  Step s is therefore a closed system whose
+// inputs are the clocks after step s-1, and a step-major evaluation is
+// exact.  Within a step, rank r < P-s sends first (r < r+s without wrap);
+// the others ("recv-first") receive first.  A recv-first rank's first
+// operation waits on its source's send, and that source, when it is
+// recv-first too, has a higher rank (r-s+P > r).  A send-first rank's
+// first operation, when rendezvous, waits on its receiver's posted
+// receive, and that receiver, when send-first too, has a higher rank (r+s).
+// So one descending pass settles every rank's clock after its first
+// operation, and a second pass, reading only first-pass values, settles
+// the second.  Every formula below is the arithmetic of send_bytes and
+// recv_bytes, term for term, so the clocks are bit-identical to the
+// message-driven exchange.
+
+void Comm::a2a_evaluate() {
+  World& w = world_;
+  const auto& P = w.params();
+  const int p = w.nprocs_;
+  const auto lane = [&](int r) -> detail::AlltoallvLane& {
+    return w.a2a_lanes_[static_cast<std::size_t>(r)];
+  };
+  for (int r = 0; r < p; ++r) {
+    lane(r).c2 = w.a2a_[static_cast<std::size_t>(r)].entry_ns;
+    lane(r).domain = pe_.domain_of(r);
+  }
+  // Rendezvous transfer on u's edge: receiver posted at `rho`, RTS arrived at `rts`.
+  const auto rdv_done = [&](double rho, double rts, const detail::AlltoallvLane& e) {
+    const double start = std::max(rho + P.mp_o_recv_ns, rts) + P.mp_rendezvous_extra_ns;
+    return start + static_cast<double>(e.bytes) / P.mp_bw_bytes_per_ns + e.wire_ns;
+  };
+  // Sender u's clock after its send: called at `sigma`, the receiver posts at `rho`.
+  const auto send_done = [&](double sigma, double rho, int u) {
+    const detail::AlltoallvLane& e = lane(u);
+    if (e.bytes <= P.mp_eager_bytes) {
+      const double done =
+          sigma + (P.mp_o_send_ns + static_cast<double>(e.bytes) / P.mp_bw_bytes_per_ns);
+      // The conservative-lookahead invariant of DESIGN.md §11 (see send_bytes).
+      O2K_CHECK(!e.cross || done + e.wire_ns >= sigma + P.cross_domain_lookahead_ns(),
+                "mp: cross-domain eager message under the lookahead bound");
+      return done;
+    }
+    const double post = sigma + P.mp_o_send_ns;
+    const double rts = post + e.wire_ns;
+    O2K_CHECK(!e.cross || rts >= sigma + P.cross_domain_lookahead_ns(),
+              "mp: cross-domain RTS under the lookahead bound");
+    return std::max(post, rdv_done(rho, rts, e));
+  };
+  // The receiver's clock after receiving u's block, under the same timing.
+  const auto recv_done = [&](double sigma, double rho, int u) {
+    const detail::AlltoallvLane& e = lane(u);
+    if (e.bytes <= P.mp_eager_bytes) {
+      const double arrival =
+          sigma + (P.mp_o_send_ns + static_cast<double>(e.bytes) / P.mp_bw_bytes_per_ns) +
+          e.wire_ns;
+      return std::max(rho, arrival) + P.mp_o_recv_ns;
+    }
+    const double rts = sigma + P.mp_o_send_ns + e.wire_ns;
+    return std::max(rho, rdv_done(rho, rts, e));
+  };
+
+  const auto wrap = [p](int r) { return r < 0 ? r + p : r >= p ? r - p : r; };
+  for (int s = 1; s < p; ++s) {
+    const int lo = p - s;  // ranks below lo send first
+    for (int u = 0; u < p; ++u) {  // the step's edges, u -> u + s
+      detail::AlltoallvLane& e = lane(u);
+      const int v = wrap(u + s);
+      const detail::AlltoallvSlot& sl = w.a2a_[static_cast<std::size_t>(u)];
+      e.c0 = e.c2;
+      e.bytes = sl.block_bytes(sl.bufs, v);
+      e.wire_ns = P.wire_ns(u, v);
+      e.cross = e.domain != lane(v).domain;
+    }
+    // Clock at which u calls send / v calls recv in this step.
+    const auto sigma = [&](int u) { return u < lo ? lane(u).c0 : lane(u).c1; };
+    const auto rho = [&](int v) { return v < lo ? lane(v).c1 : lane(v).c0; };
+    for (int r = p - 1; r >= 0; --r) {
+      detail::AlltoallvLane& l = lane(r);
+      if (r < lo) {
+        l.c1 = send_done(l.c0, rho(r + s), r);
+      } else {
+        const int src = wrap(r - s);
+        l.c1 = recv_done(sigma(src), l.c0, src);
+      }
+    }
+    for (int r = 0; r < p; ++r) {
+      detail::AlltoallvLane& l = lane(r);
+      if (r < lo) {
+        const int src = wrap(r - s);
+        l.c2 = recv_done(sigma(src), l.c1, src);
+      } else {
+        l.c2 = send_done(l.c1, rho(r + s - p), r);
+      }
+      double* t = w.a2a_[static_cast<std::size_t>(r)].times.data() + 2 * (s - 1);
+      t[0] = l.c1;
+      t[1] = l.c2;
+    }
+  }
+}
+
+void Comm::a2a_enter(const void* bufs, std::size_t (*block_bytes)(const void* bufs, int dst)) {
+  const int p = size();
+  const int me = rank();
+  const int tag = next_coll_tag();
+  detail::AlltoallvSlot& mine = world_.a2a_[static_cast<std::size_t>(me)];
+  mine.entry_ns = pe_.now();
+  mine.bufs = bufs;
+  mine.block_bytes = block_bytes;
+  mine.times.resize(2 * static_cast<std::size_t>(p - 1));
+  pe_.rendezvous([this] { a2a_evaluate(); });
+
+  // Replay: the same counters, trace events and sanitizer calls as
+  // send_bytes / recv_bytes, in the same order and at the same clocks.
+  auto* san = sanitize::active();
+  auto send_events = [&](int dst) {
+    const std::size_t bytes = block_bytes(bufs, dst);
+    pe_.add_counter(c_msgs_, 1);
+    pe_.add_counter(c_bytes_, bytes);
+    pe_.trace_send(dst, bytes);
+  };
+  auto recv_events = [&](int src) {
+    const detail::AlltoallvSlot& theirs = world_.a2a_[static_cast<std::size_t>(src)];
+    pe_.add_counter(c_recv_msgs_, 1);
+    pe_.trace_recv(src, theirs.block_bytes(theirs.bufs, me));
+    if (san != nullptr) san->mp_recv(me, src, tag, false, 0, pe_.now(), phase_of(pe_));
+  };
+  for (int s = 1; s < p; ++s) {
+    const int dst = (me + s) % p;
+    const int src = (me - s + p) % p;
+    const double first = mine.times[2 * static_cast<std::size_t>(s - 1)];
+    const double second = mine.times[2 * static_cast<std::size_t>(s - 1) + 1];
+    if (me < dst) {
+      send_events(dst);
+      pe_.sync_at_least(first);
+      pe_.sync_at_least(second);
+      recv_events(src);
+    } else {
+      pe_.sync_at_least(first);
+      recv_events(src);
+      send_events(dst);
+      pe_.sync_at_least(second);
+    }
+  }
 }
 
 void Comm::bcast_bytes(std::span<std::byte> data, int root, int tag) {

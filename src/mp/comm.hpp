@@ -4,7 +4,10 @@
 // send/recv with tag matching and per-(source,tag) FIFO ordering, a
 // buffered nonblocking isend/irecv pair, and tree/ring collectives built on
 // top of point-to-point so that their simulated cost *emerges* from the
-// message cost model rather than being postulated.
+// message cost model rather than being postulated.  alltoallv keeps that
+// cost model message by message but moves no host messages: its whole
+// pairwise-exchange schedule is evaluated once at a host rendezvous (see
+// Comm::alltoallv and DESIGN.md §5).
 //
 // Cost model (MachineParams):
 //   eager (bytes <= mp_eager_bytes):
@@ -89,6 +92,30 @@ struct alignas(64) LocalBox {
   std::deque<Message> q;
 };
 
+/// One rank's side of Comm::alltoallv: what it publishes on entry, and
+/// the clocks the evaluation hands back.  Padded so ranks publishing from
+/// different host workers never share a cache line.
+struct alignas(64) AlltoallvSlot {
+  double entry_ns = 0.0;
+  const void* bufs = nullptr;  ///< the rank's `sendbufs` argument
+  std::size_t (*block_bytes)(const void* bufs, int dst) = nullptr;
+  /// [2(s-1)] / [2(s-1)+1]: the rank's clock after the first / second
+  /// operation of step s.  Sized once, reused by every call.
+  std::vector<double> times;
+};
+
+/// Evaluation scratch for one rank within one step s of Comm::alltoallv:
+/// its clocks, and its outgoing edge to rank + s.
+struct AlltoallvLane {
+  double c0 = 0.0;  ///< before the step
+  double c1 = 0.0;  ///< after the first operation
+  double c2 = 0.0;  ///< after the second operation
+  std::size_t bytes = 0;
+  double wire_ns = 0.0;
+  bool cross = false;  ///< the edge leaves the rank's synchronization domain
+  int domain = 0;
+};
+
 }  // namespace detail
 
 /// Shared state of one MP "job"; create before Machine::run and hand to
@@ -148,6 +175,10 @@ class World {
   std::vector<detail::LocalBox> lb_;  ///< [rank]
   std::vector<std::unique_ptr<exec::SpscChannel<detail::Message>>>
       chan_;  ///< [rank * shard_workers_ + producer worker]
+
+  // alltoallv: one slot and one evaluation lane per rank.
+  std::vector<detail::AlltoallvSlot> a2a_;
+  std::vector<detail::AlltoallvLane> a2a_lanes_;
 };
 
 /// Handle for a pending nonblocking operation (see header comment for the
@@ -201,7 +232,7 @@ class Comm {
     auto raw = recv_bytes(src, tag);
     O2K_CHECK(raw.size() % sizeof(T) == 0, "mp: message size not a multiple of element size");
     std::vector<T> out(raw.size() / sizeof(T));
-    std::memcpy(out.data(), raw.data(), raw.size());
+    if (!raw.empty()) std::memcpy(out.data(), raw.data(), raw.size());  // data() may be null
     return out;
   }
   template <typename T>
@@ -270,8 +301,9 @@ class Comm {
     bcast(v, 0);
     // Collective fence discipline (DESIGN.md §13): only the *synchronizing*
     // collectives — those where no rank can exit before every rank has
-    // entered (allreduce, allgather, allgatherv, alltoallv, barrier) — end
-    // with the clock-neutral host fence.  At their exit every in-collective
+    // entered (allreduce, allgather, allgatherv, barrier; alltoallv ends in
+    // its own always-on exit rendezvous) — end with the clock-neutral host
+    // fence.  At their exit every in-collective
     // message is already posted, so ranks still draining them never depend
     // on a parked PE.  Non-synchronizing collectives (bcast, gather,
     // scatterv: a leaf or root can exit before others enter) must NOT call
@@ -354,32 +386,35 @@ class Comm {
     return out;
   }
 
-  /// Pairwise-exchange all-to-all of variable blocks; `sendbufs[r]` goes to
-  /// rank r.  Returns the blocks received, indexed by source rank.
+  /// All-to-all of variable blocks; `sendbufs[r]` goes to rank r.  Returns
+  /// the blocks received, indexed by source rank.
+  ///
+  /// Costed as the pairwise exchange: at step s = 1..P-1 rank r sends its
+  /// block to r+s and receives from r-s (mod P) with blocking send/recv,
+  /// the lower rank of each pair sending first.  Every one of the P(P-1)
+  /// messages is charged, counted and traced exactly as send_bytes /
+  /// recv_bytes would, but none travels through a mailbox: the ranks meet
+  /// at a host rendezvous, the last to arrive evaluates every rank's clock
+  /// after every step (a2a_evaluate), and each rank then replays its own
+  /// 2(P-1) events and copies its blocks straight out of the senders'
+  /// buffers.  An exit rendezvous keeps those buffers alive until every
+  /// copy is done; it also ends the collective the way collective_fence
+  /// ends the other synchronizing collectives (DESIGN.md §5, §13).
   template <typename T>
   std::vector<std::vector<T>> alltoallv(const std::vector<std::vector<T>>& sendbufs) {
     static_assert(std::is_trivially_copyable_v<T>);
     O2K_REQUIRE(static_cast<int>(sendbufs.size()) == size(),
                 "alltoallv: need one send buffer per rank");
-    const int p = size();
-    const int me = rank();
-    const int tag = next_coll_tag();
-    std::vector<std::vector<T>> out(static_cast<std::size_t>(p));
-    out[static_cast<std::size_t>(me)] = sendbufs[static_cast<std::size_t>(me)];
-    for (int step = 1; step < p; ++step) {
-      const int dst = (me + step) % p;
-      const int src = (me - step + p) % p;
-      // Order the pair so the lower rank sends first: messages are eager
-      // or the pattern would deadlock on symmetric rendezvous sends.
-      if (me < dst) {
-        send(std::span<const T>(sendbufs[static_cast<std::size_t>(dst)]), dst, tag);
-        out[static_cast<std::size_t>(src)] = recv_vec<T>(src, tag);
-      } else {
-        out[static_cast<std::size_t>(src)] = recv_vec<T>(src, tag);
-        send(std::span<const T>(sendbufs[static_cast<std::size_t>(dst)]), dst, tag);
-      }
+    using Blocks = std::vector<std::vector<T>>;
+    a2a_enter(&sendbufs, [](const void* bufs, int dst) {
+      return (*static_cast<const Blocks*>(bufs))[static_cast<std::size_t>(dst)].size() * sizeof(T);
+    });
+    Blocks out(static_cast<std::size_t>(size()));
+    for (int src = 0; src < size(); ++src) {
+      const auto& theirs = *static_cast<const Blocks*>(world_.a2a_[static_cast<std::size_t>(src)].bufs);
+      out[static_cast<std::size_t>(src)] = theirs[static_cast<std::size_t>(rank())];
     }
-    pe_.collective_fence();  // synchronizing collective (see allreduce_sum)
+    pe_.rendezvous([] {});  // exit: every copy is done before any sender leaves
     return out;
   }
 
@@ -455,6 +490,12 @@ class Comm {
   }
 
   void bcast_bytes(std::span<std::byte> data, int root, int tag);
+  /// alltoallv, untyped part: publish this rank's slot, meet every rank at
+  /// the host rendezvous (whose last arriver runs a2a_evaluate), then
+  /// replay this rank's send and receive events at the evaluated clocks.
+  void a2a_enter(const void* bufs, std::size_t (*block_bytes)(const void* bufs, int dst));
+  /// Last arriver only: every rank's clocks after every step (see .cpp).
+  void a2a_evaluate();
   /// Route one finished Message to `dst`'s queue and wake it.  Sharded
   /// runs: direct lock-free push when the calling worker owns `dst`'s
   /// domain, SPSC channel otherwise; locked mailbox elsewhere.

@@ -208,21 +208,7 @@ void Pe::collective_fence() { machine_->collective_fence(*this); }
 
 void Machine::collective_fence(Pe& pe) {
   if (!domain_serial()) return;
-  FenceState& f = *fence_;
-  std::unique_lock lk(f.mu);
-  // Loaded before the arrival is counted: the generation cannot bump until
-  // this PE's increment lands, so the pre-arrival load is never stale.
-  const std::uint64_t my_gen = f.generation.load(std::memory_order_relaxed);
-  if (++f.waiting == run_nprocs_) {
-    f.waiting = 0;
-    ++fence_rounds_;
-    f.generation.store(my_gen + 1, std::memory_order_release);
-    lk.unlock();
-    wake_all_slots();
-    return;
-  }
-  lk.unlock();
-  pe.park_until([&] { return f.generation.load(std::memory_order_acquire) != my_gen; });
+  arrive(pe, *rendezvous_, [this] { ++fence_rounds_; });
 }
 
 void Machine::arm_checkpoint(std::string label, int occurrence, CheckpointFn fn) {
@@ -246,33 +232,14 @@ void Machine::checkpoint_point(Pe& pe, const char* label) {
   // effect either way, so checkpoints may be sprinkled freely in app loops.
   if (!cp_armed_.load(std::memory_order_acquire)) return;
   if (cp_label_ != label) return;
-
-  if (run_nprocs_ == 1) {
-    if (++cp_seen_ == cp_occurrence_ && cp_fn_) {
-      cp_fired_.store(true, std::memory_order_release);
-      cp_fn_(*this, pe);
-    }
-    return;
-  }
-
-  auto& c = *checkpoint_;
-  std::unique_lock lk(c.mu);
-  const std::uint64_t my_gen = c.generation.load(std::memory_order_relaxed);
-  if (++c.waiting == run_nprocs_) {
-    c.waiting = 0;
+  arrive(pe, *checkpoint_, [&] {
     // Quiescence: every other PE has arrived and (on a single-worker fiber
     // host) context-switched out; the callback observes a frozen machine.
     if (++cp_seen_ == cp_occurrence_ && cp_fn_) {
       cp_fired_.store(true, std::memory_order_release);
       cp_fn_(*this, pe);
     }
-    c.generation.store(my_gen + 1, std::memory_order_release);
-    lk.unlock();
-    wake_all_slots();
-    return;
-  }
-  lk.unlock();
-  pe.park_until([&] { return c.generation.load(std::memory_order_acquire) != my_gen; });
+  });
 }
 
 bool Machine::fork_safe(int rank) const {
@@ -335,14 +302,14 @@ RunResult Machine::run(int nprocs, const std::function<void(Pe&)>& body) {
   run_workers_ = domain_map_.domains();
 
   barrier_ = std::make_unique<BarrierState>();
-  fence_ = std::make_unique<FenceState>();
+  rendezvous_ = std::make_unique<RendezvousState>();
   fence_rounds_ = 0;
   if (run_workers_ > 1) {
     barrier_->stages.reserve(static_cast<std::size_t>(run_workers_));
     for (int d = 0; d < run_workers_; ++d)
       barrier_->stages.push_back(std::make_unique<BarrierState::Stage>());
   }
-  checkpoint_ = std::make_unique<CheckpointState>();
+  checkpoint_ = std::make_unique<RendezvousState>();
   cp_seen_ = 0;
   cp_fired_.store(false, std::memory_order_relaxed);
   run_nprocs_ = nprocs;

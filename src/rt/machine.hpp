@@ -42,6 +42,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/engine.hpp"
@@ -218,8 +219,8 @@ class Pe {
   void add_barrier_hook(BarrierHookFn fn, void* ctx);
 
   /// Host rendezvous at the exit of a synchronizing collective built from
-  /// point-to-point messages (mp::Comm's allreduce, allgather(v),
-  /// alltoallv and dissemination barrier), which never pass through
+  /// point-to-point messages (mp::Comm's allreduce, allgather(v) and
+  /// dissemination barrier), which never pass through
   /// Pe::barrier.  Collective over all ranks: every PE parks on the host
   /// until the whole team has arrived.  It exists for the pinned fiber
   /// scheduler, where fibers run to their next park without preemption:
@@ -233,6 +234,17 @@ class Pe {
   /// is posted by the time a rank exits it, so ranks still draining them
   /// never depend on a parked PE running further.
   void collective_fence();
+
+  /// Clock-neutral host rendezvous over every PE of the run, under every
+  /// backend and worker count.  The last PE to arrive runs `last()` while
+  /// every other PE is parked, and none of them resumes before it returns,
+  /// so `last` may read what every PE published before arriving and write
+  /// what every PE reads after.  mp::Comm::alltoallv evaluates its whole
+  /// exchange this way.  Shares its arrive/release point with
+  /// collective_fence: all PEs must make these calls in the same order.
+  /// Throws AbortError when the run aborts while parked.
+  template <class Fn>
+  void rendezvous(Fn&& last);
 
   /// Named checkpoint rendezvous point (campaign checkpoint/fork support).
   ///
@@ -401,23 +413,21 @@ class Machine {
     std::vector<std::unique_ptr<Stage>> stages;  ///< one per domain when workers > 1
   };
 
-  // Host-only arrive/release point for Pe::collective_fence: counts
-  // arrivals under `mu`, publishes releases through the atomic generation.
-  // Clock-neutral by construction — no field ever feeds a virtual time.
-  struct FenceState {
+  // Host-only arrive/release point (see arrive): counts arrivals under
+  // `mu`, publishes releases through the atomic generation.  Same shape as
+  // BarrierState, but clock-neutral by construction — no field ever feeds a
+  // virtual time, so a run follows the same virtual-time trajectory with or
+  // without the rendezvous.
+  struct RendezvousState {
     std::mutex mu;
     int waiting = 0;
     std::atomic<std::uint64_t> generation{0};
   };
-
-  // Same arrive/release shape as BarrierState, but entirely clock-neutral:
-  // the rendezvous synchronises host execution only, so armed and unarmed
-  // runs follow identical virtual-time trajectories.
-  struct CheckpointState {
-    std::mutex mu;
-    int waiting = 0;
-    std::atomic<std::uint64_t> generation{0};
-  };
+  /// The one arrive/release protocol behind Pe::rendezvous,
+  /// Pe::collective_fence and Pe::checkpoint: the last of run_nprocs_
+  /// arrivals runs `last()` under st.mu, then releases everyone.
+  template <class Fn>
+  void arrive(Pe& pe, RendezvousState& st, Fn&& last);
 
   origin::MachineParams params_;
   metrics::Sink* sink_ = nullptr;
@@ -433,9 +443,9 @@ class Machine {
   // and are never destroyed mid-run, so a PE may park on its slot at any
   // point of the run.
   std::unique_ptr<BarrierState> barrier_;
-  std::unique_ptr<FenceState> fence_;
-  std::uint64_t fence_rounds_ = 0;  ///< completed fence rounds (under fence_->mu)
-  std::unique_ptr<CheckpointState> checkpoint_;
+  std::unique_ptr<RendezvousState> rendezvous_;  ///< collective_fence + Pe::rendezvous
+  std::uint64_t fence_rounds_ = 0;  ///< completed fence rounds (under rendezvous_->mu)
+  std::unique_ptr<RendezvousState> checkpoint_;
   std::vector<std::unique_ptr<Pe>> pes_;
   std::vector<std::unique_ptr<WaitSlot>> slots_;
   int run_nprocs_ = 0;
@@ -499,6 +509,32 @@ void Pe::park_until(Pred&& pred) {
     }
     slot.parked.store(0, std::memory_order_relaxed);
   }
+}
+
+template <class Fn>
+void Machine::arrive(Pe& pe, RendezvousState& st, Fn&& last) {
+  std::unique_lock lk(st.mu);
+  // Loaded before the arrival is counted: the generation cannot bump until
+  // this PE's increment lands, so the pre-arrival load is never stale.
+  const std::uint64_t my_gen = st.generation.load(std::memory_order_relaxed);
+  if (++st.waiting < run_nprocs_) {
+    lk.unlock();
+    pe.park_until([&] { return st.generation.load(std::memory_order_acquire) != my_gen; });
+    return;
+  }
+  st.waiting = 0;
+  // Every other PE has arrived and published its writes through st.mu.  If
+  // `last` throws, nobody is released: the run aborts and the parked PEs
+  // unwind with AbortError.
+  last();
+  st.generation.store(my_gen + 1, std::memory_order_release);
+  lk.unlock();
+  wake_all_slots();
+}
+
+template <class Fn>
+void Pe::rendezvous(Fn&& last) {
+  machine_->arrive(*this, *machine_->rendezvous_, std::forward<Fn>(last));
 }
 
 }  // namespace o2k::rt

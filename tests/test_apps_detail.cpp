@@ -4,8 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdlib>
+#include <future>
+#include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "apps/mesh_detail.hpp"
+#include "apps/replicated.hpp"
 #include "apps/sas_table.hpp"
 #include "mp/comm.hpp"
 #include "shmem/shmem.hpp"
@@ -92,6 +99,42 @@ TEST(LocalMeshTest, RefineMatchesSerialTemplates) {
   EXPECT_EQ(st.new_tets, 2u);
   EXPECT_EQ(lm.tets.size(), 2u);
   EXPECT_NEAR(lm.total_volume(), 1.0 / 6.0, 1e-12);
+}
+
+// A throwing `fn` must reach every caller for its key: the computing
+// thread and each waiter rethrow it.  Before, the entry stayed "computing"
+// and every waiter blocked on the host condvar forever (0% CPU).
+TEST(ReplicatedTest, ThrowingFnReachesEveryWaiter) {
+  constexpr int kThreads = 4;
+  apps::detail::Replicated<int> cache;
+  std::atomic<int> entered{0};
+  std::atomic<int> rethrown{0};
+  auto body = [&] {
+    entered.fetch_add(1);
+    try {
+      (void)cache.get(7, [&]() -> int {
+        // Stay "computing" until every thread has called get(), then give
+        // the others time to block before throwing.
+        while (entered.load() < kThreads) std::this_thread::yield();
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        throw std::runtime_error("setup failed");
+      });
+    } catch (const std::runtime_error& e) {
+      if (std::string(e.what()) == "setup failed") rethrown.fetch_add(1);
+    }
+  };
+  auto all = std::async(std::launch::async, [&] {
+    std::vector<std::thread> ts;
+    for (int i = 0; i < kThreads; ++i) ts.emplace_back(body);
+    for (auto& t : ts) t.join();
+  });
+  if (all.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+    ADD_FAILURE() << "a waiter is still blocked after fn threw";
+    std::_Exit(1);  // the blocked threads can never be joined
+  }
+  EXPECT_EQ(rethrown.load(), kThreads);
+  // The failure is kept: a later call for the key rethrows, fn never reruns.
+  EXPECT_THROW((void)cache.get(7, [] { return 1; }), std::runtime_error);
 }
 
 TEST(SasEdgeTableTest, MarkAndLookup) {

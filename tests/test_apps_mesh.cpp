@@ -4,7 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cstdlib>
+#include <future>
+#include <string>
+#include <vector>
 
+#include "apps/main/app_main.hpp"
 #include "apps/mesh_app.hpp"
 
 namespace o2k::apps {
@@ -156,6 +162,53 @@ TEST(MeshConfigChecks, RejectsZeroPhases) {
   MeshConfig cfg;
   cfg.phases = 0;
   EXPECT_THROW(run_mesh_serial(cfg), std::invalid_argument);
+}
+
+// ---- app binary main ---------------------------------------------------------
+
+int run_mesh_main(Model model, std::vector<std::string> args) {
+  std::vector<char*> argv;
+  for (auto& a : args) argv.push_back(a.data());
+  return appmain::mesh_main(static_cast<int>(argv.size()), argv.data(), model);
+}
+
+/// Runs `args` through mesh_main and returns {exit code, stderr}.  A run
+/// still going after 60 s fails the test and ends the process, since its
+/// blocked threads can never be joined.
+std::pair<int, std::string> mesh_main_within_deadline(Model model,
+                                                      std::vector<std::string> args) {
+  testing::internal::CaptureStderr();
+  auto rc = std::async(std::launch::async,
+                       [model, args]() mutable { return run_mesh_main(model, std::move(args)); });
+  if (rc.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+    ADD_FAILURE() << model_slug(model) << " did not exit within 60 s";
+    std::_Exit(1);
+  }
+  const int code = rc.get();
+  return {code, testing::internal::GetCapturedStderr()};
+}
+
+// Box 0 throws inside the replicated setup of one PE.  The other PEs used
+// to block in Replicated::get forever (0% CPU); now every PE rethrows and
+// both binaries exit promptly with the config error.
+TEST(MeshMain, ThrowingReplicatedSetupExitsPromptly) {
+  for (Model model : {Model::kMp, Model::kShmem}) {
+    const auto [code, err] = mesh_main_within_deadline(model, {"mesh", "--p=4", "--box=0"});
+    EXPECT_EQ(code, 2) << model_slug(model);
+    EXPECT_NE(err.find("box mesh needs positive dimensions"), std::string::npos) << err;
+  }
+}
+
+// Config errors exit 2 with one line on stderr, not std::terminate (134).
+TEST(MeshMain, ConfigErrorsExitTwoWithOneLine) {
+  const std::pair<Model, const char*> cases[] = {{Model::kMp, "--phases=0"},
+                                                 {Model::kSas, "--box=0"}};
+  for (const auto& [model, flag] : cases) {
+    const auto [code, err] = mesh_main_within_deadline(model, {"mesh", flag});
+    EXPECT_EQ(code, 2) << flag;
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+    EXPECT_NE(err.find("invalid configuration"), std::string::npos) << err;
+  }
 }
 
 }  // namespace

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
+#include "apps/main/app_main.hpp"
 #include "apps/nbody_app.hpp"
 
 namespace o2k::apps {
@@ -156,6 +159,34 @@ TEST(NbodyPartitionAblation, CostzonesBeatsStaticForSas) {
   const auto a = run_nbody_sas(machine(), 16, cz);
   const auto b = run_nbody_sas(machine(), 16, st);
   EXPECT_LT(a.run.phase_max("force"), b.run.phase_max("force") * 1.02);
+}
+
+// ---- app binary main ---------------------------------------------------------
+
+int run_nbody_main(Model model, std::vector<std::string> args) {
+  std::vector<char*> argv;
+  for (auto& a : args) argv.push_back(a.data());
+  return appmain::nbody_main(static_cast<int>(argv.size()), argv.data(), model);
+}
+
+// Config errors exit 2 with one line on stderr, not std::terminate (134);
+// a negative count is a usage error before it can wrap to a huge size_t.
+TEST(NbodyMain, ConfigErrorsExitTwoWithOneLine) {
+  const std::pair<Model, const char*> cases[] = {
+      {Model::kMp, "--n=0"}, {Model::kMp, "--steps=-1"}, {Model::kSas, "--n=3"}};
+  for (const auto& [model, flag] : cases) {
+    testing::internal::CaptureStderr();
+    const int code = run_nbody_main(model, {"nbody", flag});
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(code, 2) << flag;
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+    EXPECT_NE(err.find("invalid configuration"), std::string::npos) << err;
+  }
+  testing::internal::CaptureStderr();
+  const int code = run_nbody_main(Model::kMp, {"nbody", "--n=-1"});
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(code, 2);
+  EXPECT_NE(err.find("--n expects a count >= 0"), std::string::npos) << err;
 }
 
 }  // namespace

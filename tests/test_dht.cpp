@@ -503,6 +503,24 @@ TEST(DhtMain, RejectsNonPositiveProcessorCount) {
   }
 }
 
+// Config errors exit 2 with one line on stderr, not std::terminate (134);
+// a negative count is a usage error before it can wrap to a huge value.
+TEST(DhtMain, ConfigErrorsExitTwoWithOneLine) {
+  for (const char* flag : {"--window=0", "--replicas=0", "--keys=0", "--churn-every=0"}) {
+    testing::internal::CaptureStderr();
+    const int rc = run_dht_main({"dht_mp", "--p=4", flag});
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(rc, 2) << flag;
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+    EXPECT_NE(err.find("invalid configuration"), std::string::npos) << err;
+  }
+  testing::internal::CaptureStderr();
+  const int rc = run_dht_main({"dht_mp", "--p=4", "--keys=-1"});
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(rc, 2);
+  EXPECT_NE(err.find("--keys expects a count >= 0"), std::string::npos) << err;
+}
+
 // Adaptive migration is gone: --migrate is an ordinary unknown flag, so the
 // app binary rejects it as a usage error (exit 2 next to the help text)
 // rather than accepting it or ending in std::terminate.

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <numeric>
 #include <random>
+#include <string>
 
+#include "metrics/sink.hpp"
 #include "mp/comm.hpp"
+#include "sanitize/sanitize.hpp"
 
 namespace o2k::mp {
 namespace {
@@ -454,6 +458,234 @@ TEST(MpFiberAbort, AbortUnwindsAcrossParkedFibers) {
   });
   EXPECT_EQ(rr.nprocs, kP);
   m.set_exec_backend(std::nullopt);
+}
+
+// ---------------------------------------------------------------------------
+// alltoallv equivalence: the rendezvous-evaluated exchange against the
+// pairwise exchange it replaced, rebuilt here from public send/recv_vec.
+// Everything observable must be bit-identical: makespan, per-PE clocks,
+// phase stats, counters, every sink event in per-PE order, the sanitizer's
+// receive count and the delivered data.
+// ---------------------------------------------------------------------------
+
+/// The pre-rendezvous alltoallv: step s sends to me+s and receives from
+/// me-s, the lower rank of each pair sending first.
+template <typename T>
+std::vector<std::vector<T>> pairwise_alltoallv(Comm& comm,
+                                               const std::vector<std::vector<T>>& sendbufs,
+                                               int tag) {
+  const int p = comm.size();
+  const int me = comm.rank();
+  std::vector<std::vector<T>> out(static_cast<std::size_t>(p));
+  out[static_cast<std::size_t>(me)] = sendbufs[static_cast<std::size_t>(me)];
+  for (int step = 1; step < p; ++step) {
+    const int dst = (me + step) % p;
+    const int src = (me - step + p) % p;
+    if (me < dst) {
+      comm.send(std::span<const T>(sendbufs[static_cast<std::size_t>(dst)]), dst, tag);
+      out[static_cast<std::size_t>(src)] = comm.recv_vec<T>(src, tag);
+    } else {
+      out[static_cast<std::size_t>(src)] = comm.recv_vec<T>(src, tag);
+      comm.send(std::span<const T>(sendbufs[static_cast<std::size_t>(dst)]), dst, tag);
+    }
+  }
+  comm.pe().collective_fence();
+  return out;
+}
+
+/// Records every sink callback as text, per PE, in emission order (each PE
+/// appends only to its own list, per the Sink threading contract).
+class RecordingSink final : public metrics::Sink {
+ public:
+  explicit RecordingSink(int nprocs) : events_(static_cast<std::size_t>(nprocs)) {}
+  void on_phase_begin(int pe, std::string_view name, double t) override {
+    add(pe, "begin %s %a", std::string(name).c_str(), t);
+  }
+  void on_phase_end(int pe, std::string_view name, double t) override {
+    add(pe, "end %s %a", std::string(name).c_str(), t);
+  }
+  void on_counter(int pe, std::string_view name, std::uint64_t d, double t) override {
+    add(pe, "counter %s %llu %a", std::string(name).c_str(), static_cast<unsigned long long>(d),
+        t);
+  }
+  void on_message(int pe, int src, int dst, std::uint64_t bytes, double t, bool m) override {
+    add(pe, "msg %d>%d %llu %a %d", src, dst, static_cast<unsigned long long>(bytes), t,
+        static_cast<int>(m));
+  }
+  void on_barrier(int pe, double b, double e) override { add(pe, "barrier %a %a", b, e); }
+  [[nodiscard]] const std::vector<std::vector<std::string>>& events() const { return events_; }
+
+ private:
+  template <typename... A>
+  void add(int pe, const char* fmt, A... a) {
+    char buf[160];
+    std::snprintf(buf, sizeof buf, fmt, a...);
+    events_[static_cast<std::size_t>(pe)].emplace_back(buf);
+  }
+  std::vector<std::vector<std::string>> events_;
+};
+
+struct ExchangeRun {
+  std::string canon;  ///< per-PE clocks, phase stats, counters (hex floats)
+  std::vector<std::vector<std::string>> events;
+  std::uint64_t mp_recvs = 0;
+  std::vector<std::vector<std::vector<std::int32_t>>> received;  ///< [round * p + rank][src]
+};
+
+std::string canonical(const rt::RunResult& rr) {
+  std::string out;
+  char buf[160];
+  std::snprintf(buf, sizeof buf, "makespan %a\n", rr.makespan_ns);
+  out += buf;
+  for (std::size_t r = 0; r < rr.pe_ns.size(); ++r) {
+    std::snprintf(buf, sizeof buf, "clock %zu %a\n", r, rr.pe_ns[r]);
+    out += buf;
+  }
+  for (const auto& [name, agg] : rr.phases) {
+    std::snprintf(buf, sizeof buf, "phase %s max=%a min=%a sum=%a pes=%d\n", name.c_str(),
+                  agg.max_ns, agg.min_ns, agg.sum_ns, agg.pes);
+    out += buf;
+  }
+  for (const auto& [name, v] : rr.counters) out += "counter " + name + " " + std::to_string(v) + "\n";
+  return out;
+}
+
+/// Block length in int32 elements from rank `src` to rank `dst`: a mix of
+/// empty blocks, small eager blocks, one exactly at the eager limit, and
+/// rendezvous blocks just above it.
+std::size_t block_len(unsigned seed, int round, int src, int dst, std::size_t eager_elems) {
+  std::mt19937 rng(seed * 7919u + static_cast<unsigned>(round * 1000003 + src * 1009 + dst));
+  const unsigned k = rng() % 20;
+  if (k < 6) return 0;
+  if (k < 17) return 1 + rng() % 64;
+  if (k == 17) return eager_elems;
+  return eager_elems + 1 + rng() % 16;
+}
+
+ExchangeRun run_exchange(int p, rt::ExecBackend backend, int workers, bool reference,
+                         unsigned seed) {
+  constexpr int kRounds = 2;
+  rt::Machine m;
+  m.set_exec_backend(backend);
+  m.set_workers(std::min(workers, p));
+  RecordingSink sink(p);
+  m.set_sink(&sink);
+  sanitize::Sanitizer san(sanitize::Mode::kReport);
+  ExchangeRun out;
+  out.received.resize(static_cast<std::size_t>(kRounds * p));
+  rt::RunResult rr;
+  {
+    sanitize::Scope scope(&san);
+    World w(m.params(), p);
+    const std::size_t eager_elems = m.params().mp_eager_bytes / sizeof(std::int32_t);
+    rr = m.run(p, [&](rt::Pe& pe) {
+      Comm comm(w, pe);
+      const int me = pe.rank();
+      std::mt19937 skew(seed + static_cast<unsigned>(me));
+      for (int round = 0; round < kRounds; ++round) {
+        // Skewed entry clocks: up to 60 us apart, more than a rendezvous.
+        pe.advance(static_cast<double>(skew() % 60000));
+        std::vector<std::vector<std::int32_t>> send(static_cast<std::size_t>(p));
+        for (int d = 0; d < p; ++d) {
+          auto& b = send[static_cast<std::size_t>(d)];
+          b.resize(block_len(seed, round, me, d, eager_elems));
+          for (std::size_t i = 0; i < b.size(); ++i)
+            b[i] = static_cast<std::int32_t>((me * 131 + d) * 7 + static_cast<int>(i));
+        }
+        auto phase = pe.phase("xchg");
+        out.received[static_cast<std::size_t>(round * p + me)] =
+            reference ? pairwise_alltoallv(comm, send, /*tag=*/42) : comm.alltoallv(send);
+      }
+    });
+  }
+  m.set_sink(nullptr);
+  out.canon = canonical(rr);
+  out.events = sink.events();
+  out.mp_recvs = san.stats().mp_recvs;
+  return out;
+}
+
+class MpAlltoallvEquivalence : public ::testing::TestWithParam<int> {};
+
+TEST_P(MpAlltoallvEquivalence, BitIdenticalToPairwiseExchange) {
+  const int p = GetParam();
+  constexpr unsigned kSeed = 2024;
+  struct Leg {
+    rt::ExecBackend backend;
+    int workers;
+    const char* name;
+  };
+  const Leg legs[] = {{rt::ExecBackend::kFibers, 1, "fibers W=1"},
+                      {rt::ExecBackend::kFibers, 2, "pinned W=2"},
+                      {rt::ExecBackend::kFibers, 4, "pinned W=4"},
+                      {rt::ExecBackend::kThreads, 4, "threads W=4"}};
+  const ExchangeRun want = run_exchange(p, rt::ExecBackend::kFibers, 1, /*reference=*/true, kSeed);
+  const std::size_t eager_elems = rt::Machine().params().mp_eager_bytes / sizeof(std::int32_t);
+  for (int round = 0; round < 2; ++round) {
+    for (int me = 0; me < p; ++me) {
+      for (int src = 0; src < p; ++src) {
+        const auto& got = want.received[static_cast<std::size_t>(round * p + me)]
+                                       [static_cast<std::size_t>(src)];
+        ASSERT_EQ(got.size(), block_len(kSeed, round, src, me, eager_elems));
+        for (std::size_t i = 0; i < got.size(); ++i)
+          ASSERT_EQ(got[i], static_cast<std::int32_t>((src * 131 + me) * 7 + static_cast<int>(i)));
+      }
+    }
+  }
+  EXPECT_EQ(want.mp_recvs, 2u * static_cast<std::uint64_t>(p) * static_cast<std::uint64_t>(p - 1));
+  for (const Leg& leg : legs) {
+    SCOPED_TRACE(leg.name);
+    for (bool reference : {true, false}) {
+      const ExchangeRun got = run_exchange(p, leg.backend, leg.workers, reference, kSeed);
+      EXPECT_EQ(want.canon, got.canon) << (reference ? "pairwise" : "alltoallv");
+      EXPECT_EQ(want.events, got.events) << (reference ? "pairwise" : "alltoallv");
+      EXPECT_EQ(want.mp_recvs, got.mp_recvs);
+      EXPECT_EQ(want.received, got.received);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ProcCounts, MpAlltoallvEquivalence, ::testing::Values(1, 2, 3, 16, 64));
+
+// A PE that throws before it reaches alltoallv leaves every other rank
+// parked at the entry rendezvous; the abort must unwind all of them and
+// run() must rethrow the original error, under every backend and W.
+TEST(MpAlltoallvAbort, ThrowBeforeEntryUnwindsEveryParkedRank) {
+  constexpr int kP = 16;
+  for (auto [backend, workers] : {std::pair(rt::ExecBackend::kFibers, 1),
+                                  std::pair(rt::ExecBackend::kFibers, 4),
+                                  std::pair(rt::ExecBackend::kThreads, 4)}) {
+    rt::Machine m;
+    m.set_exec_backend(backend);
+    m.set_workers(workers);
+    World w(m.params(), kP);
+    std::atomic<int> unwound{0};
+    try {
+      m.run(kP, [&](rt::Pe& pe) {
+        Comm comm(w, pe);
+        if (pe.rank() == 5) throw std::runtime_error("boom before alltoallv");
+        try {
+          (void)comm.alltoallv(std::vector<std::vector<int>>(kP, std::vector<int>{pe.rank()}));
+        } catch (const rt::AbortError&) {
+          unwound.fetch_add(1);
+          throw;
+        }
+      });
+      ADD_FAILURE() << "run() returned normally at workers=" << workers;
+    } catch (const rt::AbortError&) {
+      ADD_FAILURE() << "run() rethrew AbortError instead of the original error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "boom before alltoallv");
+    }
+    EXPECT_EQ(unwound.load(), kP - 1) << "workers=" << workers;
+    // The machine stays usable: the next run completes the exchange.
+    World w2(m.params(), kP);
+    m.run(kP, [&](rt::Pe& pe) {
+      Comm comm(w2, pe);
+      const auto got = comm.alltoallv(std::vector<std::vector<int>>(kP, std::vector<int>{pe.rank()}));
+      for (int s = 0; s < kP; ++s) EXPECT_EQ(got[static_cast<std::size_t>(s)].front(), s);
+    });
+  }
 }
 
 }  // namespace
