@@ -13,17 +13,17 @@
 //
 //   ./bench_dht_traffic                      # result tables + CSV
 //   ./bench_dht_traffic --wall --out=BENCH_dht.json
-//       sweep model × P under both exec backends; every point's three
-//       makespans (fibers ×2, threads) must agree bit-exactly or the run
-//       fails — then write wall/makespan baselines as line-oriented JSON
-//       (schema o2k.bench_dht.v1).
+//       sweep model × P at the default worker count; every point's two
+//       makespans must agree bit-exactly or the run fails — then write
+//       wall/makespan baselines as line-oriented JSON (schema
+//       o2k.bench_dht.v2, with the host's core count in the header).
 //   ./bench_dht_traffic --gate=BENCH_dht.json
-//       CI perf-smoke gate: re-run the pinned P=64 points on the fibers
-//       backend; fail (exit 1) if wall time regressed >25% or any makespan
-//       moved.  Baseline problems exit 2 (missing) / 3 (malformed JSON) /
+//       CI perf-smoke gate: re-run the pinned P=64 points; fail (exit 1)
+//       if wall time regressed >25% or any makespan moved.  Baseline problems exit 2 (missing) / 3 (malformed JSON) /
 //       4 (schema mismatch) — see bench_gate.hpp.
 #include <chrono>
 #include <fstream>
+#include <thread>
 
 #include "apps/dht_app.hpp"
 #include "bench_gate.hpp"
@@ -46,9 +46,8 @@ apps::DhtConfig baseline_cfg() {
 struct WallPoint {
   std::string model;
   int p = 0;
-  double wall_fibers_s = 0.0;   ///< best of two fiber-backend runs
-  double wall_threads_s = 0.0;  ///< one thread-per-PE run
-  double makespan_ns = 0.0;     ///< virtual time (identical across backends)
+  double wall_s = 0.0;       ///< best of two runs
+  double makespan_ns = 0.0;  ///< virtual time (identical across runs)
 };
 
 /// One timed execution of the baseline workload; returns (wall_s, makespan).
@@ -69,25 +68,17 @@ int run_wall_mode(const std::string& out_path) {
       WallPoint pt;
       pt.model = apps::model_slug(model);
       pt.p = p;
-      machine.set_exec_backend(rt::ExecBackend::kFibers);
-      const auto [wf1, mk1] = timed_run(machine, model, p);
-      const auto [wf2, mk2] = timed_run(machine, model, p);
-      machine.set_exec_backend(rt::ExecBackend::kThreads);
-      const auto [wt, mk3] = timed_run(machine, model, p);
-      machine.set_exec_backend(std::nullopt);
-      pt.wall_fibers_s = std::min(wf1, wf2);
-      pt.wall_threads_s = wt;
+      const auto [w1, mk1] = timed_run(machine, model, p);
+      const auto [w2, mk2] = timed_run(machine, model, p);
+      pt.wall_s = std::min(w1, w2);
       pt.makespan_ns = mk1;
-      if (mk1 != mk2 || mk1 != mk3) {
-        std::fprintf(stderr,
-                     "ERROR: makespan drift at dht|%s|%d (fibers %.17g / %.17g, "
-                     "threads %.17g)\n",
-                     pt.model.c_str(), p, mk1, mk2, mk3);
+      if (mk1 != mk2) {
+        std::fprintf(stderr, "ERROR: makespan drift at dht|%s|%d (%.17g / %.17g)\n",
+                     pt.model.c_str(), p, mk1, mk2);
         ok = false;
       }
       points.push_back(pt);
-      std::fprintf(stderr, "  dht %-6s P=%-3d  fibers %.3fs  threads %.3fs\n",
-                   pt.model.c_str(), pt.p, pt.wall_fibers_s, pt.wall_threads_s);
+      std::fprintf(stderr, "  dht %-6s P=%-3d  %.3fs\n", pt.model.c_str(), pt.p, pt.wall_s);
     }
   }
   std::ofstream out(out_path);
@@ -95,14 +86,14 @@ int run_wall_mode(const std::string& out_path) {
     std::cerr << "bench_dht_traffic: cannot write " << out_path << "\n";
     return 2;
   }
-  out << "{\"schema\":\"o2k.bench_dht.v1\",\"points\":[\n";
+  out << "{\"schema\":\"o2k.bench_dht.v2\",\"host_cores\":" << std::thread::hardware_concurrency()
+      << ",\"points\":[\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
     const WallPoint& pt = points[i];
     char buf[256];
     std::snprintf(buf, sizeof buf,
-                  "{\"model\":\"%s\",\"P\":%d,\"wall_fibers_s\":%.6f,"
-                  "\"wall_threads_s\":%.6f,\"makespan_ns\":%.17g}%s\n",
-                  pt.model.c_str(), pt.p, pt.wall_fibers_s, pt.wall_threads_s, pt.makespan_ns,
+                  "{\"model\":\"%s\",\"P\":%d,\"wall_s\":%.6f,\"makespan_ns\":%.17g}%s\n",
+                  pt.model.c_str(), pt.p, pt.wall_s, pt.makespan_ns,
                   i + 1 < points.size() ? "," : "");
     out << buf;
   }
@@ -115,14 +106,13 @@ int run_wall_mode(const std::string& out_path) {
   return 0;
 }
 
-/// CI perf-smoke gate: pinned P=64 points, fibers backend, 25% wall budget,
-/// makespans pinned bit-exactly against the committed file.
+/// CI perf-smoke gate: pinned P=64 points, 25% wall budget, makespans
+/// pinned bit-exactly against the committed file.
 int run_gate_mode(const std::string& baseline_path) {
   const auto baseline = bench::load_gate_baseline("bench_dht_traffic", baseline_path,
-                                                  "o2k.bench_dht.v1", /*with_app=*/false);
+                                                  "o2k.bench_dht.v2", /*with_app=*/false);
   constexpr double kBudget = 1.25;
   rt::Machine machine;
-  machine.set_exec_backend(rt::ExecBackend::kFibers);
   bool ok = true;
   for (const auto model : bench::all_models()) {
     const std::string slug = apps::model_slug(model);
@@ -138,10 +128,10 @@ int run_gate_mode(const std::string& baseline_path) {
     const auto [w1, mk1] = timed_run(machine, model, 64);
     const auto [w2, mk2] = timed_run(machine, model, 64);
     const double wall = std::min(w1, w2);
-    const bool slow = wall > base->wall_fibers_s * kBudget;
+    const bool slow = wall > base->wall_s * kBudget;
     const bool drifted = (mk1 != mk2 || mk1 != base->makespan_ns);
     std::fprintf(stderr, "  gate dht %-6s P=64  wall %.3fs (budget %.3fs)%s%s\n", slug.c_str(),
-                 wall, base->wall_fibers_s * kBudget, slow ? "  WALL REGRESSION" : "",
+                 wall, base->wall_s * kBudget, slow ? "  WALL REGRESSION" : "",
                  drifted ? "  MAKESPAN DRIFT" : "");
     ok = ok && !slow && !drifted;
   }

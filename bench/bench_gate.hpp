@@ -45,8 +45,7 @@ struct GateRecord {
   std::string model;
   int p = 0;
   int workers = 1;  ///< synchronization domains; 1 for schemas without the axis
-  double wall_fibers_s = 0.0;
-  double wall_threads_s = 0.0;
+  double wall_s = 0.0;
   double makespan_ns = 0.0;
 };
 
@@ -122,11 +121,9 @@ inline std::vector<GateRecord> load_gate_baseline(const std::string& bench,
     r.p = static_cast<int>(need_number("P", v));
     if (gate_json_field(line, "workers", v))
       r.workers = static_cast<int>(need_number("workers", v));
-    if (!gate_json_field(line, "wall_fibers_s", v))
-      throw malformed("point line lacks the \"wall_fibers_s\" field");
-    r.wall_fibers_s = need_number("wall_fibers_s", v);
-    if (gate_json_field(line, "wall_threads_s", v))
-      r.wall_threads_s = need_number("wall_threads_s", v);
+    if (!gate_json_field(line, "wall_s", v))
+      throw malformed("point line lacks the \"wall_s\" field");
+    r.wall_s = need_number("wall_s", v);
     if (gate_json_field(line, "makespan_ns", v)) r.makespan_ns = need_number("makespan_ns", v);
     out.push_back(std::move(r));
   }

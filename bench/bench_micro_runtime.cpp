@@ -6,21 +6,21 @@
 // all three models and P = {1..256} (a scaled Origin2000 beyond the paper's
 // 64 processors; identical per-hop costs, see
 // MachineParams::origin2000_scaled) and records host wall-clock seconds per
-// point as line-oriented JSON (schema o2k.bench_sched.v5).  Every point is
-// measured with 3 repetitions per backend and records the *median* — the
-// header line carries "reps" and "host_cores" so a baseline taken on a
-// wider host is legible.  Points at P >= 8 are additionally measured with
-// O2K_WORKERS=4 on the fibers backend (the sharded synchronization-domain
-// scheduler, DESIGN.md §11); the "speedup" column of workers>1 lines is
-// wall(workers=1)/wall(this), the tentpole host-parallelism metric.
-// All makespans of a point — across backends, repetitions and worker
-// counts — must agree bit-exactly; any mismatch aborts the run with exit 1.
+// point as line-oriented JSON (schema o2k.bench_sched.v6).  Every point is
+// measured with 3 repetitions and records the *median* — the header line
+// carries "reps" and "host_cores" so a baseline is legible on any host.
+// Every point runs at workers=1; points at P >= 8 are additionally measured
+// at workers=4 (four synchronization domains, DESIGN.md §11), whose
+// "speedup" column is wall(workers=1)/wall(workers=4), the
+// host-parallelism metric.  All makespans of a point — across repetitions
+// and worker counts — must agree bit-exactly; any mismatch aborts the run
+// with exit 1.
 //
 //   ./bench_micro_runtime --wall --out=BENCH_sched.json
 //
 // A third mode, `--gate=<BENCH_sched.json>`, is the CI perf-smoke gate: it
-// re-runs a pinned subset of the sweep on the fibers backend (median of 3
-// repetitions, including a workers=4 point) and fails (exit 1) if any
+// re-runs a pinned subset of the sweep (median of 3 repetitions, including
+// workers=4 points) and fails (exit 1) if any
 // point's median wall time regressed more than 25% against the committed
 // file, or if any point's makespan drifted from it.  Baseline problems
 // exit with distinct codes (2 missing file, 3 malformed JSON, 4 schema
@@ -127,16 +127,15 @@ BENCHMARK(BM_SasTouch);
 // --wall mode: end-to-end host wall-clock of the fig1/fig3 smoke sweeps.
 // ---------------------------------------------------------------------------
 
-constexpr int kReps = 3;  ///< repetitions per backend; points record the median
+constexpr int kReps = 3;  ///< repetitions per point; points record the median
 
 struct WallPoint {
   std::string app;
   std::string model;
   int p = 0;
-  int workers = 1;              ///< synchronization domains (O2K_WORKERS)
-  double wall_fibers_s = 0.0;   ///< median of kReps fiber-backend runs
-  double wall_threads_s = 0.0;  ///< median of kReps thread-per-PE runs (workers=1 only)
-  double makespan_ns = 0.0;     ///< virtual time (identical across everything)
+  int workers = 1;           ///< synchronization domains (O2K_WORKERS)
+  double wall_s = 0.0;       ///< median of kReps runs
+  double makespan_ns = 0.0;  ///< virtual time (identical across everything)
 };
 
 std::string point_key(const WallPoint& pt) {
@@ -183,34 +182,20 @@ std::pair<double, double> timed_run(rt::Machine& machine, const std::string& app
   return {wall, makespan};
 }
 
-/// Measure one sweep point: kReps repetitions per backend, medians
-/// recorded.  Points with workers > 1 run the fibers backend only (the
-/// threads backend spawns P host threads regardless of the domain count, so
-/// a workers axis there measures nothing).  Returns false (and prints) if
-/// any makespan disagrees with any other — every point must be
-/// bit-reproducible across backends, repetitions and worker counts.
+/// Measure one sweep point: kReps repetitions, median recorded.  Returns
+/// false (and prints) if any makespan disagrees with any other — every
+/// point must be bit-reproducible across repetitions and worker counts.
 bool measure_point(rt::Machine& machine, WallPoint& pt) {
   const auto model = model_from_slug(pt.model);
   machine.set_workers(pt.workers);
-  std::vector<double> wf, wt, mks;
-  machine.set_exec_backend(rt::ExecBackend::kFibers);
+  std::vector<double> walls, mks;
   for (int r = 0; r < kReps; ++r) {
     const auto [w, mk] = timed_run(machine, pt.app, model, pt.p);
-    wf.push_back(w);
+    walls.push_back(w);
     mks.push_back(mk);
   }
-  if (pt.workers == 1) {
-    machine.set_exec_backend(rt::ExecBackend::kThreads);
-    for (int r = 0; r < kReps; ++r) {
-      const auto [w, mk] = timed_run(machine, pt.app, model, pt.p);
-      wt.push_back(w);
-      mks.push_back(mk);
-    }
-  }
-  machine.set_exec_backend(std::nullopt);
   machine.set_workers(std::nullopt);
-  pt.wall_fibers_s = median(wf);
-  pt.wall_threads_s = wt.empty() ? 0.0 : median(wt);
+  pt.wall_s = median(walls);
   pt.makespan_ns = mks.front();
   for (double mk : mks) {
     if (mk != mks.front()) {
@@ -243,9 +228,8 @@ int run_wall_mode(const std::string& out_path, int pmax) {
         pt.p = p;
         ok = measure_point(machine, pt) && ok;
         points.push_back(pt);
-        std::fprintf(stderr, "  %-5s %-6s P=%-4d w=1  fibers %.3fs  threads %.3fs\n",
-                     pt.app.c_str(), pt.model.c_str(), pt.p, pt.wall_fibers_s,
-                     pt.wall_threads_s);
+        std::fprintf(stderr, "  %-5s %-6s P=%-4d w=1  %.3fs\n", pt.app.c_str(),
+                     pt.model.c_str(), pt.p, pt.wall_s);
         // The host-parallel sweep: 4 synchronization domains need >= 4
         // nodes, i.e. P >= 8 at two PEs per node; below that DomainMap
         // would clamp and re-measure the workers=1 configuration.
@@ -261,9 +245,9 @@ int run_wall_mode(const std::string& out_path, int pmax) {
             ok = false;
           }
           points.push_back(w4);
-          std::fprintf(stderr, "  %-5s %-6s P=%-4d w=4  fibers %.3fs  (x%.2f vs w=1)\n",
-                       w4.app.c_str(), w4.model.c_str(), w4.p, w4.wall_fibers_s,
-                       w4.wall_fibers_s > 0 ? pt.wall_fibers_s / w4.wall_fibers_s : 0.0);
+          std::fprintf(stderr, "  %-5s %-6s P=%-4d w=4  %.3fs  (x%.2f vs w=1)\n",
+                       w4.app.c_str(), w4.model.c_str(), w4.p, w4.wall_s,
+                       w4.wall_s > 0 ? pt.wall_s / w4.wall_s : 0.0);
         }
       }
     }
@@ -276,51 +260,44 @@ int run_wall_mode(const std::string& out_path, int pmax) {
   }
   char hdr[160];
   std::snprintf(hdr, sizeof hdr,
-                "{\"schema\":\"o2k.bench_sched.v5\",\"reps\":%d,\"host_cores\":%u,"
+                "{\"schema\":\"o2k.bench_sched.v6\",\"reps\":%d,\"host_cores\":%u,"
                 "\"points\":[\n",
                 kReps, std::thread::hardware_concurrency());
   out << hdr;
-  // The speedup column reads differently per line kind: workers=1 lines
-  // report threads/fibers (backend comparison), workers>1 lines report
-  // fibers(w=1)/fibers(w=N) — the host-parallelism win of the domain
-  // scheduler, meaningful only when host_cores >= workers.
-  auto base_fibers = [&](const WallPoint& pt) -> double {
+  // workers>1 lines carry a speedup column: wall(w=1)/wall(w=N) — the
+  // host-parallelism win of the domain scheduler, meaningful only when
+  // host_cores >= workers.
+  auto base_wall = [&](const WallPoint& pt) -> double {
     for (const WallPoint& b : points)
       if (b.workers == 1 && b.app == pt.app && b.model == pt.model && b.p == pt.p)
-        return b.wall_fibers_s;
+        return b.wall_s;
     return 0.0;
   };
-  double total_fibers = 0.0, total_threads = 0.0, total_fibers_w4 = 0.0;
+  double total = 0.0, total_w4 = 0.0;
   for (std::size_t i = 0; i < points.size(); ++i) {
     const WallPoint& pt = points[i];
-    double speedup = 0.0;
-    if (pt.workers == 1) {
-      total_fibers += pt.wall_fibers_s;
-      total_threads += pt.wall_threads_s;
-      if (pt.wall_fibers_s > 0) speedup = pt.wall_threads_s / pt.wall_fibers_s;
-    } else {
-      total_fibers_w4 += pt.wall_fibers_s;
-      if (pt.wall_fibers_s > 0) speedup = base_fibers(pt) / pt.wall_fibers_s;
-    }
     char buf[512];
     std::snprintf(buf, sizeof buf,
                   "{\"app\":\"%s\",\"model\":\"%s\",\"P\":%d,\"workers\":%d,"
-                  "\"wall_fibers_s\":%.6f,\"wall_threads_s\":%.6f,\"speedup\":%.2f,"
-                  "\"makespan_ns\":%.17g",
-                  pt.app.c_str(), pt.model.c_str(), pt.p, pt.workers,
-                  pt.wall_fibers_s, pt.wall_threads_s, speedup, pt.makespan_ns);
+                  "\"wall_s\":%.6f,",
+                  pt.app.c_str(), pt.model.c_str(), pt.p, pt.workers, pt.wall_s);
     out << buf;
-    out << "}" << (i + 1 < points.size() ? "," : "") << "\n";
+    if (pt.workers == 1) {
+      total += pt.wall_s;
+    } else {
+      total_w4 += pt.wall_s;
+      std::snprintf(buf, sizeof buf, "\"speedup\":%.2f,",
+                    pt.wall_s > 0 ? base_wall(pt) / pt.wall_s : 0.0);
+      out << buf;
+    }
+    std::snprintf(buf, sizeof buf, "\"makespan_ns\":%.17g}", pt.makespan_ns);
+    out << buf << (i + 1 < points.size() ? "," : "") << "\n";
   }
   char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "],\"total\":{\"fibers_wall_s\":%.6f,\"threads_wall_s\":%.6f,"
-                "\"fibers_w4_wall_s\":%.6f,\"speedup\":%.2f}}",
-                total_fibers, total_threads, total_fibers_w4,
-                total_fibers > 0 ? total_threads / total_fibers : 0.0);
+  std::snprintf(buf, sizeof buf, "],\"total\":{\"wall_s\":%.6f,\"w4_wall_s\":%.6f}}", total,
+                total_w4);
   out << buf << "\n";
-  std::fprintf(stderr, "wrote %s (fibers %.3fs, threads %.3fs, fibers w=4 %.3fs)\n",
-               out_path.c_str(), total_fibers, total_threads, total_fibers_w4);
+  std::fprintf(stderr, "wrote %s (w=1 %.3fs, w=4 %.3fs)\n", out_path.c_str(), total, total_w4);
   if (!ok) {
     std::fprintf(stderr, "FAILED: unexpected makespan drift (see above)\n");
     return 1;
@@ -328,12 +305,11 @@ int run_wall_mode(const std::string& out_path, int pmax) {
   return 0;
 }
 
-/// CI perf-smoke gate: pinned subset, fibers backend, median of kReps,
-/// 25% wall budget.  Baseline problems throw bench::GateBaselineError
+/// CI perf-smoke gate: pinned subset, median of kReps, 25% wall budget.  Baseline problems throw bench::GateBaselineError
 /// (caught in main).
 int run_gate_mode(const std::string& baseline_path) {
   const auto baseline = bench::load_gate_baseline("bench_micro_runtime", baseline_path,
-                                                  "o2k.bench_sched.v5", /*with_app=*/true);
+                                                  "o2k.bench_sched.v6", /*with_app=*/true);
   auto find = [&](const std::string& app, const std::string& model, int p,
                   int workers) -> const bench::GateRecord* {
     for (const auto& b : baseline)
@@ -354,7 +330,6 @@ int run_gate_mode(const std::string& baseline_path) {
   constexpr double kBudget = 1.25;  // fail when median wall regresses >25%
 
   rt::Machine machine(origin::MachineParams::origin2000_scaled(256));
-  machine.set_exec_backend(rt::ExecBackend::kFibers);
   bool ok = true;
   for (const auto& g : pinned) {
     const bench::GateRecord* base = find(g.app, g.model, g.p, g.workers);
@@ -376,7 +351,7 @@ int run_gate_mode(const std::string& baseline_path) {
     }
     machine.set_workers(std::nullopt);
     const double wall = median(walls);
-    const bool slow = wall > base->wall_fibers_s * kBudget;
+    const bool slow = wall > base->wall_s * kBudget;
     // Virtual time is host-independent, so the gate also pins makespans —
     // bit-exactly against the committed file for every repetition (and, for
     // workers=4 points, against the workers=1 baseline value via the file).
@@ -385,7 +360,7 @@ int run_gate_mode(const std::string& baseline_path) {
     std::fprintf(stderr,
                  "  gate %-5s %-6s P=%-3d w=%d  wall %.3fs (budget %.3fs)%s%s\n",
                  g.app, g.model, g.p, g.workers, wall,
-                 base->wall_fibers_s * kBudget, slow ? "  WALL REGRESSION" : "",
+                 base->wall_s * kBudget, slow ? "  WALL REGRESSION" : "",
                  drifted ? "  MAKESPAN DRIFT" : "");
     ok = ok && !slow && !drifted;
   }

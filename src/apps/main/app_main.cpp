@@ -41,7 +41,8 @@ void add_checkpoint_flags(std::map<std::string, std::string>& flags, const char*
 }
 
 void add_workers_flag(std::map<std::string, std::string>& flags) {
-  flags["workers"] = "host synchronization domains (default: O2K_WORKERS, else 1)";
+  flags["workers"] =
+      "host synchronization domains (default: O2K_WORKERS, else min(nodes, hardware threads))";
 }
 
 /// The simulated machine for `--p`: the Origin2000 parameters, scaled past
@@ -138,8 +139,6 @@ int run_and_report(rt::Machine& machine, int nprocs, const std::string& app, Mod
     meta.app = cp.app_slug;
     meta.model = model_slug(model);
     meta.nprocs = nprocs;
-    meta.backend =
-        machine.exec_backend() == rt::ExecBackend::kFibers ? "fibers" : "threads";
     meta.label = cp.label;
     meta.occurrence = cp.occurrence;
     scoped.emplace(machine,

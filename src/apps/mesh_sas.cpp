@@ -17,7 +17,7 @@
 //
 // Every charge here is a pure function of barrier-separated state (the
 // table charges per *key*, the dispatcher breaks clock ties by rank), so
-// mesh/CC-SAS virtual times are bit-identical across execution backends at
+// mesh/CC-SAS virtual times are bit-identical across host worker counts at
 // every P — the same contract the statically partitioned apps meet.
 #include <array>
 #include <mutex>

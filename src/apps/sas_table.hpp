@@ -17,7 +17,7 @@
 // for the same home-line access the charge already models, and open
 // addressing keeps it short at the load factors the remesher runs at).
 // Combined with the delayed-commit coherence model (src/sas/sas.hpp) this
-// makes CC-SAS remeshing bit-reproducible across execution backends.
+// makes CC-SAS remeshing bit-reproducible across host worker counts.
 //
 // Slot layout (4 × u64): [key][stamp][owner][mid]
 //   key    0 = empty, otherwise the edge key (key 0 is reserved)

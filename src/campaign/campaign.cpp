@@ -6,7 +6,6 @@
 //   app nbody                       # nbody | mesh | dht
 //   models mp,sas                   # subset of mp,shmem,sas
 //   p 2,4                           # simulated PE counts
-//   exec fibers                     # any of fibers,threads (default fibers)
 //   workers 1,4                     # synchronization domains (default 1);
 //                                   # points with workers > 1 always run cold
 //   warm 1                          # warm-fork branchable sweeps (default 1)
@@ -45,7 +44,6 @@
 #include "campaign/snapshot.hpp"
 #include "common/check.hpp"
 #include "common/overlay.hpp"
-#include "exec/context.hpp"
 #include "metrics/report.hpp"
 
 namespace o2k::campaign {
@@ -298,10 +296,6 @@ void apply_overlay(const RunUnit& u) {
   for (const auto& [k, v] : u.overlay) common::overlay_set(k, v);
 }
 
-const char* backend_slug(rt::ExecBackend b) {
-  return b == rt::ExecBackend::kFibers ? "fibers" : "threads";
-}
-
 // ---- the forked worker body --------------------------------------------
 
 /// Runs inside a forked child; returns the child's exit code.  A warm
@@ -310,13 +304,11 @@ const char* backend_slug(rt::ExecBackend b) {
 /// caller's _exit.
 int exec_group(const TaskGroup& g, const std::string& runs_dir, const std::string& snap_dir) {
   const auto host_start = std::chrono::steady_clock::now();
-  // Warm stems must be single-worker so the rendezvous is fork-safe (no
-  // live host thread besides the caller).  Children inherit the setting.
-  if (g.warm) ::setenv("O2K_EXEC_WORKERS", "1", 1);
   rt::Machine machine;
-  machine.set_exec_backend(g.backend);
   // Pin the domain count from the spec (never the inherited O2K_WORKERS
   // env) so a campaign's run list is reproducible from its spec alone.
+  // Warm groups always have workers == 1, so the stem runs on the calling
+  // thread alone and the checkpoint rendezvous is fork-safe.
   machine.set_workers(g.workers);
 
   std::size_t active = 0;  // which unit this process carries to completion
@@ -333,7 +325,6 @@ int exec_group(const TaskGroup& g, const std::string& runs_dir, const std::strin
           snap.meta.app = g.app;
           snap.meta.model = g.model;
           snap.meta.nprocs = g.p;
-          snap.meta.backend = backend_slug(g.backend);
           snap.meta.label = g.cp_label;
           snap.meta.occurrence = g.cp_occurrence;
           snap.state = sink.lines();
@@ -380,7 +371,6 @@ int exec_group(const TaskGroup& g, const std::string& runs_dir, const std::strin
         apps::model_name(model_from_slug(g.model)));
     report.meta["campaign.label"] = res.label;
     report.meta["campaign.warm"] = res.warm ? "1" : "0";
-    report.meta["campaign.backend"] = backend_slug(g.backend);
     report.meta["campaign.workers"] = std::to_string(g.workers);
     for (const auto& [k, v] : rep.checks) {
       std::ostringstream os;
@@ -445,7 +435,6 @@ Spec parse_spec(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw SpecError("campaign spec " + path + ": cannot open (missing file?)");
   Spec spec;
-  spec.backends = {"fibers"};
 
   auto fail = [&](int lineno, const std::string& what) -> void {
     throw SpecError("campaign spec " + path + ":" + std::to_string(lineno) + ": " + what);
@@ -494,13 +483,6 @@ Spec parse_spec(const std::string& path) {
       spec.procs.clear();
       for (const std::string& t : split_list(rest))
         spec.procs.push_back(static_cast<int>(want_i64(lineno, t, 1)));
-    } else if (key == "exec") {
-      spec.backends.clear();
-      for (const std::string& b : split_list(rest)) {
-        if (b != "fibers" && b != "threads")
-          fail(lineno, "unknown exec backend '" + b + "' (want fibers|threads)");
-        spec.backends.push_back(b);
-      }
     } else if (key == "workers") {
       spec.workers.clear();
       for (const std::string& t : split_list(rest))
@@ -578,19 +560,14 @@ std::vector<TaskGroup> expand(const Spec& spec, bool allow_warm) {
   std::vector<TaskGroup> groups;
   for (const std::string& model : spec.models) {
     for (const int p : spec.procs) {
-      for (const std::string& backend : spec.backends) {
-       for (const int workers : spec.workers) {
+      for (const int workers : spec.workers) {
         if (workers > p)
           throw SpecError("campaign: workers " + std::to_string(workers) + " exceeds p " +
                           std::to_string(p) + " (more synchronization domains than PEs)");
-        const rt::ExecBackend be =
-            backend == "threads" ? rt::ExecBackend::kThreads : rt::ExecBackend::kFibers;
-        // Warm forking needs the fiber backend (the threads backend is
-        // never fork-safe with nprocs > 1) AND a single synchronization
-        // domain: with workers > 1 the pinned engine keeps pool threads
-        // alive at the rendezvous, so those points always run cold.
-        const bool warm_requested =
-            spec.warm && allow_warm && be == rt::ExecBackend::kFibers;
+        // Warm forking needs a single synchronization domain: with
+        // workers > 1 the engine keeps pool threads alive at the
+        // rendezvous, so those points always run cold.
+        const bool warm_requested = spec.warm && allow_warm;
         const bool warm_ok = warm_requested && workers == 1;
 
         std::vector<Axis> branch_axes, grid_axes;
@@ -618,15 +595,12 @@ std::vector<TaskGroup> expand(const Spec& spec, bool allow_warm) {
           g.app = spec.app;
           g.model = model;
           g.p = p;
-          g.backend = be;
           g.workers = workers;
           g.cp_label = marker_label(spec.app);
           g.cp_occurrence = spec.warm_occurrence;
           g.params = spec.fixed;
           for (const auto& [k, v] : gv) g.params[k] = v;
-          // workers == 1 keeps the legacy label shape so committed specs
-          // and their baselines stay addressable.
-          g.group_label = spec.app + "." + model + ".p" + std::to_string(p) + "." + backend +
+          g.group_label = spec.app + "." + model + ".p" + std::to_string(p) +
                           (workers > 1 ? ".w" + std::to_string(workers) : "") + axis_tag(gv);
 
           cartesian(branch_axes,
@@ -667,7 +641,6 @@ std::vector<TaskGroup> expand(const Spec& spec, bool allow_warm) {
             }
           }
         });
-       }
       }
     }
   }
@@ -679,8 +652,7 @@ std::vector<TaskGroup> expand(const Spec& spec, bool allow_warm) {
 int run_campaign(const CampaignOptions& opts) {
   namespace fs = std::filesystem;
   const Spec spec = parse_spec(opts.spec_path);
-  const bool allow_warm = !opts.no_warm && exec::fibers_supported();
-  const std::vector<TaskGroup> groups = expand(spec, allow_warm);
+  const std::vector<TaskGroup> groups = expand(spec, /*allow_warm=*/!opts.no_warm);
 
   std::size_t total_runs = 0, warm_groups = 0, demoted_runs = 0;
   for (const TaskGroup& g : groups) {
@@ -744,8 +716,8 @@ int run_campaign(const CampaignOptions& opts) {
       char bits[24];
       std::snprintf(bits, sizeof bits, "%016" PRIx64, ur.makespan_bits);
       manifest << "{\"label\":\"" << json_escape(ur.label) << "\",\"app\":\"" << g.app
-               << "\",\"model\":\"" << g.model << "\",\"p\":" << g.p << ",\"exec\":\""
-               << backend_slug(g.backend) << "\",\"workers\":" << g.workers
+               << "\",\"model\":\"" << g.model << "\",\"p\":" << g.p
+               << ",\"workers\":" << g.workers
                << ",\"warm\":" << (ur.warm ? "true" : "false")
                << ",\"warm_demoted\":" << (g.warm_demoted ? "true" : "false")
                << ",\"control\":" << (g.control ? "true" : "false")

@@ -2,7 +2,7 @@
 // binaries' worth of in-process entry points.
 //
 // A campaign expands one declarative grid spec — application × models ×
-// simulated PE counts × workload parameters × exec backend — into a run
+// simulated PE counts × host worker counts × workload parameters — into a run
 // list, executes it on a bounded pool of forked worker processes, and
 // streams one RunReport JSON per run into a campaign directory together
 // with a manifest and an aggregate summary.
@@ -10,8 +10,7 @@
 // The headline mechanism is warm forking: runs that differ only in
 // *branchable* parameters (values the app reads through the
 // o2k::common overlay after its setup marker) share the expensive setup.
-// One stem process runs the common prefix on the fiber backend with a
-// single host worker, and at the app's checkpoint rendezvous —
+// One stem process runs the common prefix on a single host worker, and at the app's checkpoint rendezvous —
 // quiescence, proven fork-safe — it forks one child per branch.  Each
 // child applies its parameter overlay and continues to completion; the
 // stem itself continues as branch 0.  The stem also writes the snapshot
@@ -55,7 +54,6 @@ struct TaskGroup {
   std::string app;    ///< "nbody" | "mesh" | "dht"
   std::string model;  ///< "mp" | "shmem" | "sas"
   int p = 0;
-  rt::ExecBackend backend = rt::ExecBackend::kFibers;
   int workers = 1;  ///< synchronization domains (O2K_WORKERS); > 1 is cold-only
   bool warm = false;
   bool control = false;  ///< cold control of a warm unit (verify mode)
@@ -76,7 +74,6 @@ struct Spec {
   std::string app;
   std::vector<std::string> models;
   std::vector<int> procs;
-  std::vector<std::string> backends;  ///< "fibers" / "threads"
   std::vector<int> workers = {1};     ///< host synchronization domains per run
   bool warm = true;
   bool verify = false;
@@ -90,8 +87,8 @@ struct Spec {
 Spec parse_spec(const std::string& path);
 
 /// Expand a spec into task groups (pure; throws SpecError on bad keys or
-/// non-positive branch values).  `allow_warm` gates warm grouping (e.g.
-/// fibers unsupported on the host).
+/// non-positive branch values).  `allow_warm` gates warm grouping (false
+/// under --no-warm).
 std::vector<TaskGroup> expand(const Spec& spec, bool allow_warm);
 
 struct CampaignOptions {

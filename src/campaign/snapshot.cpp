@@ -89,7 +89,7 @@ void write_snapshot(const std::string& path, const Snapshot& s) {
       << "app " << s.meta.app << '\n'
       << "model " << s.meta.model << '\n'
       << "nprocs " << s.meta.nprocs << '\n'
-      << "backend " << s.meta.backend << '\n'
+      << "backend fibers\n"
       << "label " << s.meta.label << '\n'
       << "occurrence " << s.meta.occurrence << '\n'
       << "state " << s.state.size() << '\n';
@@ -113,7 +113,7 @@ Snapshot load_snapshot(const std::string& path) {
   s.meta.app = expect_field(in, path, "app");
   s.meta.model = expect_field(in, path, "model");
   s.meta.nprocs = static_cast<int>(expect_int_field(in, path, "nprocs"));
-  s.meta.backend = expect_field(in, path, "backend");
+  (void)expect_field(in, path, "backend");  // legacy line, value ignored
   s.meta.label = expect_field(in, path, "label");
   s.meta.occurrence = static_cast<int>(expect_int_field(in, path, "occurrence"));
   const std::int64_t count = expect_int_field(in, path, "state");

@@ -15,12 +15,13 @@
 //
 // Format (text, versioned, diffable):
 //   o2k.snap.v1
-//   app <name>\n model <name>\n nprocs <n>\n backend <fibers|threads>
+//   app <name>\n model <name>\n nprocs <n>\n backend <word>
 //   label <marker>\n occurrence <k>\n state <count>
 //   <count raw StateSink lines>
 //   digest <16 hex digits>          (FNV-1a over the state lines)
-// `backend` is informational: snapshots are portable across exec backends
-// (virtual times are backend-invariant) and verify ignores it.
+// `backend` is a legacy header line: the writer always writes "fibers" and
+// the reader skips its value (older files may say "threads"), so
+// snapshots stay portable across every build and worker count.
 #pragma once
 
 #include <cstdint>
@@ -56,7 +57,6 @@ struct SnapshotMeta {
   std::string app;
   std::string model;
   int nprocs = 0;
-  std::string backend;       ///< informational only; ignored by verify
   std::string label = "setup";
   int occurrence = 1;
 };

@@ -1,7 +1,7 @@
 // Hardened environment-variable parsing.
 //
-// The simulator reads a handful of knobs from the environment (O2K_EXEC,
-// O2K_EXEC_STACK_KB, O2K_EXEC_WORKERS, O2K_SANITIZE, ...).  Unattended
+// The simulator reads a handful of knobs from the environment
+// (O2K_EXEC_STACK_KB, O2K_WORKERS, O2K_SANITIZE, ...).  Unattended
 // campaign runs hit these with whatever a sweep script exported, so a typo
 // like `O2K_EXEC_STACK_KB=64MB` must not silently parse as 0 (the classic
 // strtol-without-endptr bug) and size a stack nonsensically.  env_int

@@ -4,7 +4,7 @@
 // stateless request stream: request j's key, operation, payload and entry
 // node are pure hashes of (seed, j), so any PE can generate (or verify) any
 // request without coordination, and the stream is identical across the
-// three model bindings and across execution backends.
+// three model bindings and across host worker counts.
 //
 // Popularity: key ranks follow a Zipf(s) law over K keys, sampled by
 // inverse-CDF binary search; the rank→key mapping is a fixed bijective

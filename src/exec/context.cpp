@@ -29,6 +29,15 @@
 #endif
 #endif
 
+#if defined(O2K_EXEC_TSAN)
+extern "C" {
+void* __tsan_get_current_fiber();
+void* __tsan_create_fiber(unsigned flags);
+void __tsan_destroy_fiber(void* fiber);
+void __tsan_switch_to_fiber(void* fiber, unsigned flags);
+}
+#endif
+
 #if defined(O2K_EXEC_ASAN)
 extern "C" {
 void __sanitizer_start_switch_fiber(void** fake_stack_save, const void* bottom, size_t size);
@@ -164,6 +173,8 @@ o2k_ctx_entry_thunk:
   .size o2k_ctx_entry_thunk, .-o2k_ctx_entry_thunk
 )");
 
+#else
+#error "o2k::exec fibers support x86-64 and aarch64 only"
 #endif  // arch
 
 extern "C" {
@@ -172,19 +183,6 @@ void o2k_ctx_entry_thunk();
 }
 
 namespace o2k::exec {
-
-bool fibers_supported() {
-#if defined(O2K_EXEC_TSAN)
-  // TSan's runtime tracks one stack per OS thread and cannot follow a
-  // hand-rolled stack switch; it would report every fiber migration as a
-  // data race.  rt::Machine falls back to the threads backend.
-  return false;
-#elif defined(__x86_64__) || defined(__aarch64__)
-  return true;
-#else
-  return false;
-#endif
-}
 
 // ---------------------------------------------------------------------------
 // FiberStack
@@ -244,11 +242,21 @@ void make_context(RawContext& ctx, const FiberStack& stack, ContextEntry entry) 
   frame[0] = reinterpret_cast<void*>(entry);  // x19 -> thunk target
   frame[11] = reinterpret_cast<void*>(&o2k_ctx_entry_thunk);  // x30
   ctx.sp = frame;
-#else
-  (void)entry;
-  throw std::runtime_error("o2k::exec: fibers unsupported on this architecture");
 #endif
   ctx.asan_fake_stack = nullptr;
+#if defined(O2K_EXEC_TSAN)
+  ctx_release(ctx);
+  ctx.tsan_fiber = __tsan_create_fiber(0);
+#endif
+}
+
+void ctx_release(RawContext& ctx) {
+#if defined(O2K_EXEC_TSAN)
+  if (ctx.tsan_fiber != nullptr) __tsan_destroy_fiber(ctx.tsan_fiber);
+  ctx.tsan_fiber = nullptr;
+#else
+  (void)ctx;
+#endif
 }
 
 void ctx_bind_host_stack(RawContext& ctx) {
@@ -263,9 +271,11 @@ void ctx_bind_host_stack(RawContext& ctx) {
     }
     pthread_attr_destroy(&attr);
   }
-#else
-  (void)ctx;
 #endif
+#if defined(O2K_EXEC_TSAN)
+  ctx.tsan_fiber = __tsan_get_current_fiber();
+#endif
+  (void)ctx;
 }
 
 void ctx_note_arrival(RawContext& self) {
@@ -287,6 +297,9 @@ void* ctx_swap_to(RawContext& from, RawContext& to, void* arg, const FiberStack*
 #else
   (void)to_stack;
   (void)from_dying;
+#endif
+#if defined(O2K_EXEC_TSAN)
+  __tsan_switch_to_fiber(to.tsan_fiber, 0);
 #endif
   void* ret = o2k_ctx_swap(&from.sp, to.sp, arg);
   // Execution resumes here when somebody switches back into `from`.

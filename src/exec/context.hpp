@@ -12,23 +12,20 @@
 // Stacks are mmap'd with a PROT_NONE guard page below the usable region, so
 // an overflow faults deterministically instead of corrupting a neighbour.
 //
-// AddressSanitizer needs to be told about stack switches
-// (__sanitizer_start_switch_fiber / __sanitizer_finish_switch_fiber) or its
-// fake-stack bookkeeping misattributes frames; SwitchGuard carries those
-// annotations.  ThreadSanitizer's runtime cannot follow hand-rolled
-// switches at all, so fibers_supported() reports false under TSan and the
-// caller (rt::Machine) falls back to the thread-per-PE backend — see
-// DESIGN.md §2.2.
+// AddressSanitizer and ThreadSanitizer both need to be told about stack
+// switches or they misattribute frames and accesses: ASan through
+// __sanitizer_start/finish_switch_fiber (fake-stack and stack-bound
+// bookkeeping), TSan through one __tsan fiber per context and
+// __tsan_switch_to_fiber before every switch (which also gives TSan the
+// happens-before edge the switch implies).  ctx_swap_to carries both, so the
+// engine runs unchanged under every sanitizer.  Only x86-64 and aarch64 are
+// supported; any other architecture fails to compile.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
 namespace o2k::exec {
-
-/// True when this build/arch can run the fiber backend (x86-64 or aarch64,
-/// not ThreadSanitizer).  When false, FiberEngine must not be constructed.
-[[nodiscard]] bool fibers_supported();
 
 /// An mmap'd fiber stack: `usable` bytes of RW memory above one PROT_NONE
 /// guard page.  Not copyable; unmapped on destruction.
@@ -55,12 +52,14 @@ class FiberStack {
 /// saved stack pointer while suspended; for a host thread it is the state
 /// saved while the thread runs a fiber.  The asan_* fields carry the
 /// sanitizer fake-stack handle and the stack bounds ASan reported when this
-/// context was last suspended.
+/// context was last suspended; `tsan_fiber` is TSan's handle for the
+/// context (created by make_context, or the host thread's own).
 struct RawContext {
   void* sp = nullptr;
   void* asan_fake_stack = nullptr;
   const void* asan_stack_bottom = nullptr;
   std::size_t asan_stack_size = 0;
+  void* tsan_fiber = nullptr;
 };
 
 /// Entry function of a fresh context; receives the `arg` passed to the
@@ -70,11 +69,16 @@ using ContextEntry = void (*)(void*) /*noreturn*/;
 /// Prepare `ctx` so the first ctx_swap into it calls `entry(arg-of-swap)`
 /// on `stack`.  The frame-pointer chain is terminated so unwinders (and
 /// exception propagation inside the fiber) stop at the fiber's entry.
+/// Under TSan it replaces the context's previous TSan fiber with a fresh one.
 void make_context(RawContext& ctx, const FiberStack& stack, ContextEntry entry);
 
-/// Record the calling OS thread's stack bounds in `ctx` so sanitizers can
-/// be pointed back at it when a fiber switches to this host context.
-/// No-op outside ASan builds.
+/// Release what make_context allocated for `ctx` beyond its stack (the TSan
+/// fiber).  `ctx` must not be running.  No-op outside TSan builds.
+void ctx_release(RawContext& ctx);
+
+/// Record the calling OS thread's stack bounds (ASan) and its TSan fiber in
+/// `ctx` so sanitizers can be pointed back at it when a fiber switches to
+/// this host context.  No-op outside sanitizer builds.
 void ctx_bind_host_stack(RawContext& ctx);
 
 /// Sanitizer bookkeeping for the arrival side of a switch.  Called

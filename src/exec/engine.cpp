@@ -2,8 +2,7 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <stdexcept>
-#include <string>
+#include <thread>
 
 #include "common/check.hpp"
 #include "common/env.hpp"
@@ -33,23 +32,8 @@ std::size_t resolved_stack_bytes() {
   return static_cast<std::size_t>(kb) * 1024;
 }
 
-int resolved_workers(int nprocs) {
-  if (const auto w = common::env_int("O2K_EXEC_WORKERS", /*min=*/1, /*max=*/4096)) {
-    return static_cast<int>(*w) < nprocs ? static_cast<int>(*w) : nprocs;
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  const int m = hw == 0 ? 1 : static_cast<int>(hw);
-  return m < nprocs ? m : nprocs;
-}
-
 FiberEngine::FiberEngine(std::size_t stack_bytes)
-    : stack_bytes_(stack_bytes != 0 ? stack_bytes : resolved_stack_bytes()) {
-  if (!fibers_supported()) {
-    throw std::runtime_error(
-        "o2k::exec: fiber backend unsupported in this build (TSan or unknown "
-        "architecture); use the threads backend");
-  }
-}
+    : stack_bytes_(stack_bytes != 0 ? stack_bytes : resolved_stack_bytes()) {}
 
 FiberEngine::~FiberEngine() = default;
 
@@ -72,7 +56,7 @@ void FiberEngine::fiber_main(void* arg) {
   try {
     (*f->eng->body_)(f->rank);
   } catch (...) {
-    std::lock_guard<std::mutex> lk(f->eng->mu_);
+    std::lock_guard<std::mutex> lk(f->eng->error_mu_);
     if (!f->eng->first_error_) f->eng->first_error_ = std::current_exception();
   }
   f->reason = Fiber::kDone;
@@ -80,137 +64,64 @@ void FiberEngine::fiber_main(void* arg) {
   std::abort();  // a finished fiber must never be resumed
 }
 
-void FiberEngine::run(int nprocs, const std::function<void(int)>& body, const Plan& plan) {
-  O2K_REQUIRE(plan.workers >= 0, "FiberEngine: negative worker count");
-  O2K_REQUIRE(plan.workers <= 1 || plan.affinity != nullptr,
-              "FiberEngine: pinned multi-worker run needs an affinity table");
+void FiberEngine::run(int nprocs, const std::function<void(int)>& body, int workers,
+                      const int* affinity) {
+  O2K_REQUIRE(workers >= 1, "FiberEngine: need at least one worker");
+  O2K_REQUIRE(workers <= nprocs, "FiberEngine: more workers than ranks");
+  O2K_REQUIRE(workers == 1 || affinity != nullptr,
+              "FiberEngine: multi-worker run needs an affinity table");
   ensure_capacity(nprocs);
   live_ = nprocs;
-  done_ = 0;
   body_ = &body;
   first_error_ = nullptr;
-  runq_.clear();
-  pinned_ = plan.workers >= 1;
-  affinity_ = plan.affinity;
+  workers_used_ = workers;
+  affinity_ = affinity;
+  finished_.store(0, std::memory_order_relaxed);
+  while (wstates_.size() < static_cast<std::size_t>(workers))
+    wstates_.push_back(std::make_unique<WorkerState>());
+  for (int w = 0; w < workers; ++w) {
+    WorkerState& ws = *wstates_[static_cast<std::size_t>(w)];
+    ws.localq.clear();
+    ws.epoch.store(0, std::memory_order_relaxed);
+    ws.sleeping.store(0, std::memory_order_relaxed);
+    ws.ext_pending.store(0, std::memory_order_relaxed);
+    ws.extq.clear();
+    if (ws.inbox.size() < static_cast<std::size_t>(workers))
+      ws.inbox = std::vector<SpscRing<Fiber*>>(static_cast<std::size_t>(workers));
+  }
   for (int r = 0; r < nprocs; ++r) {
     Fiber* f = fibers_[static_cast<std::size_t>(r)].get();
     f->epoch.store(0, std::memory_order_relaxed);
     f->status.store(Fiber::kActive, std::memory_order_relaxed);
     f->reason = Fiber::kPark;
     make_context(f->ctx, *f->stack, &FiberEngine::fiber_main);
+    wstates_[static_cast<std::size_t>(worker_of(r))]->localq.push_back(f);
   }
-
-  if (!pinned_) {
-    // Shared mode: one runnable queue, any worker runs any fiber.
-    for (int r = 0; r < nprocs; ++r) runq_.push_back(fibers_[static_cast<std::size_t>(r)].get());
-    const int m = resolved_workers(nprocs);
-    workers_used_ = m;
-    std::vector<RawContext> homes(static_cast<std::size_t>(m));
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(m - 1));
-    for (int w = 1; w < m; ++w) {
-      threads.emplace_back([this, &homes, w] { worker_loop(homes[static_cast<std::size_t>(w)]); });
-    }
-    worker_loop(homes[0]);
-    for (auto& t : threads) t.join();
-  } else {
-    // Pinned mode: plan.workers domains, each rank on its domain's worker.
-    const int m = plan.workers;
-    O2K_REQUIRE(m <= nprocs, "FiberEngine: more pinned workers than ranks");
-    workers_used_ = m;
-    while (wstates_.size() < static_cast<std::size_t>(m))
-      wstates_.push_back(std::make_unique<WorkerState>());
-    pinned_done_.store(0, std::memory_order_relaxed);
-    for (int w = 0; w < m; ++w) {
-      WorkerState& ws = *wstates_[static_cast<std::size_t>(w)];
-      ws.localq.clear();
-      ws.epoch.store(0, std::memory_order_relaxed);
-      ws.sleeping.store(0, std::memory_order_relaxed);
-      ws.ext_pending.store(0, std::memory_order_relaxed);
-      ws.extq.clear();
-      if (ws.inbox.size() < static_cast<std::size_t>(m))
-        ws.inbox = std::vector<SpscRing<Fiber*>>(static_cast<std::size_t>(m));
-    }
-    for (int r = 0; r < nprocs; ++r) {
-      WorkerState& ws = *wstates_[static_cast<std::size_t>(m == 1 ? 0 : affinity_[r])];
-      ws.localq.push_back(fibers_[static_cast<std::size_t>(r)].get());
-    }
-    // Each mailbox must hold every fiber its consumer owns (see spsc.hpp);
-    // the seeded run queue has exactly that length.  Rings are pooled
-    // across runs and only regrown.
-    for (int w = 0; w < m; ++w) {
-      WorkerState& ws = *wstates_[static_cast<std::size_t>(w)];
-      for (auto& ring : ws.inbox)
-        if (ring.capacity() < ws.localq.size()) ring.init(ws.localq.size());
-    }
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(m - 1));
-    for (int w = 1; w < m; ++w) {
-      threads.emplace_back([this, w] { worker_loop_pinned(w); });
-    }
-    worker_loop_pinned(0);
-    for (auto& t : threads) t.join();
+  // Each mailbox must hold every fiber its consumer owns (see spsc.hpp);
+  // the seeded run queue has exactly that length.  Rings are pooled across
+  // runs and only regrown.
+  for (int w = 0; w < workers; ++w) {
+    WorkerState& ws = *wstates_[static_cast<std::size_t>(w)];
+    for (auto& ring : ws.inbox)
+      if (ring.capacity() < ws.localq.size()) ring.init(ws.localq.size());
   }
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<std::size_t>(workers - 1));
+  for (int w = 1; w < workers; ++w) threads.emplace_back([this, w] { worker_main(w); });
+  worker_main(0);
+  for (auto& t : threads) t.join();
 
   body_ = nullptr;
   affinity_ = nullptr;
   if (first_error_) std::rethrow_exception(first_error_);
 }
 
-void FiberEngine::worker_loop(RawContext& home) {
-  ctx_bind_host_stack(home);
-  for (;;) {
-    Fiber* f = nullptr;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-#if defined(O2K_BOUNDED_WAITS)
-      // Debug fallback, mirroring the threads backend: never sleep
-      // unboundedly; periodically re-enqueue every parked fiber so a lost
-      // wakeup degrades to polling instead of a hang.
-      while (runq_.empty() && done_ != live_) {
-        if (cv_.wait_for(lk, std::chrono::seconds(1)) == std::cv_status::timeout) {
-          requeue_parked_locked();
-        }
-      }
-#else
-      cv_.wait(lk, [&] { return !runq_.empty() || done_ == live_; });
-#endif
-      if (runq_.empty()) return;  // done_ == live_: run complete
-      f = runq_.front();
-      runq_.pop_front();
-    }
-    for (;;) {
-      f->home = &home;
-      ctx_swap_to(home, f->ctx, f, f->stack.get());
-      if (f->reason == Fiber::kDone) {
-        std::lock_guard<std::mutex> lk(mu_);
-        if (++done_ == live_) cv_.notify_all();
-        break;
-      }
-      // The fiber asked to park.  Publish kParked, then re-check its wait
-      // epoch: a waker that ran between the fiber's epoch read and this
-      // store saw status != kParked and did not enqueue, so reclaim the
-      // fiber here.  The CAS arbitrates against concurrent wakers so the
-      // fiber is resumed exactly once.
-      f->status.store(Fiber::kParked, std::memory_order_seq_cst);
-      if (f->epoch.load(std::memory_order_seq_cst) != f->park_epoch) {
-        int expected = Fiber::kParked;
-        if (f->status.compare_exchange_strong(expected, Fiber::kActive,
-                                              std::memory_order_seq_cst)) {
-          continue;  // resume it right here, still hot on this worker
-        }
-      }
-      break;
-    }
-  }
-}
-
-void FiberEngine::worker_loop_pinned(int wid) {
+void FiberEngine::worker_main(int wid) {
   WorkerState& w = *wstates_[static_cast<std::size_t>(wid)];
   ctx_bind_host_stack(w.ctx);
   const TlsWorker saved = tls_worker;
   tls_worker = TlsWorker{this, wid};
-  while (pinned_done_.load(std::memory_order_acquire) != live_) {
+  while (finished_.load(std::memory_order_acquire) != live_) {
     if (w.localq.empty()) {
       // Sleep eventcount: read the epoch, re-drain, and only then commit to
       // the condvar — a producer always delivers before bumping the epoch,
@@ -219,13 +130,16 @@ void FiberEngine::worker_loop_pinned(int wid) {
       // that bump must also see the run complete.
       const std::uint64_t e = w.epoch.load(std::memory_order_seq_cst);
       if (drain_into_local(w)) continue;
-      if (pinned_done_.load(std::memory_order_seq_cst) == live_) break;
+      if (finished_.load(std::memory_order_seq_cst) == live_) break;
       std::unique_lock<std::mutex> lk(w.mu);
       w.sleeping.store(1, std::memory_order_seq_cst);
       if (w.epoch.load(std::memory_order_seq_cst) == e) {
 #if defined(O2K_BOUNDED_WAITS)
+        // Debug fallback: never sleep unboundedly; periodically reclaim this
+        // worker's parked fibers so a lost wakeup degrades to polling
+        // instead of a hang.
         if (w.cv.wait_for(lk, std::chrono::seconds(1)) == std::cv_status::timeout) {
-          requeue_parked_pinned(w, wid);
+          requeue_parked(w, wid);
         }
 #else
         w.cv.wait(lk, [&] { return w.epoch.load(std::memory_order_relaxed) != e; });
@@ -242,14 +156,18 @@ void FiberEngine::worker_loop_pinned(int wid) {
       if (f->reason == Fiber::kDone) {
         // Completion is global: the last finisher pokes every other
         // worker so none sleeps through the end of the run.
-        if (pinned_done_.fetch_add(1, std::memory_order_acq_rel) + 1 == live_) {
+        if (finished_.fetch_add(1, std::memory_order_acq_rel) + 1 == live_) {
           for (int o = 0; o < workers_used_; ++o) {
             if (o != wid) notify_worker(*wstates_[static_cast<std::size_t>(o)]);
           }
         }
         break;
       }
-      // Same park/reclaim protocol as shared mode (see worker_loop).
+      // The fiber asked to park.  Publish kParked, then re-check its wait
+      // epoch: a waker that ran between the fiber's epoch read and this
+      // store saw status != kParked and did not enqueue, so reclaim the
+      // fiber here.  The CAS arbitrates against concurrent wakers so the
+      // fiber is resumed exactly once.
       f->status.store(Fiber::kParked, std::memory_order_seq_cst);
       if (f->epoch.load(std::memory_order_seq_cst) != f->park_epoch) {
         int expected = Fiber::kParked;
@@ -293,14 +211,6 @@ void FiberEngine::park(int rank, std::uint64_t observed_epoch) {
   // Resumed: the caller (Pe::park_until) loops and re-tests its predicate.
 }
 
-void FiberEngine::enqueue(Fiber* f) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    runq_.push_back(f);
-  }
-  cv_.notify_one();
-}
-
 void FiberEngine::notify_worker(WorkerState& w) {
   w.epoch.fetch_add(1, std::memory_order_seq_cst);
   if (w.sleeping.load(std::memory_order_seq_cst) != 0) {
@@ -310,7 +220,7 @@ void FiberEngine::notify_worker(WorkerState& w) {
 }
 
 void FiberEngine::deliver(Fiber* f) {
-  const int dst = workers_used_ == 1 ? 0 : affinity_[f->rank];
+  const int dst = worker_of(f->rank);
   WorkerState& w = *wstates_[static_cast<std::size_t>(dst)];
   const TlsWorker t = tls_worker;
   if (t.eng == this && t.wid == dst) {
@@ -336,11 +246,7 @@ void FiberEngine::wake(int rank) {
     int expected = Fiber::kParked;
     if (f->status.compare_exchange_strong(expected, Fiber::kActive,
                                           std::memory_order_seq_cst)) {
-      if (pinned_) {
-        deliver(f);
-      } else {
-        enqueue(f);
-      }
+      deliver(f);
     }
   }
 }
@@ -364,26 +270,12 @@ bool FiberEngine::quiescent_except(int rank) const {
   return true;
 }
 
-void FiberEngine::requeue_parked_locked() {
-  bool any = false;
-  for (int r = 0; r < live_; ++r) {
-    Fiber* f = fibers_[static_cast<std::size_t>(r)].get();
-    int expected = Fiber::kParked;
-    if (f->status.compare_exchange_strong(expected, Fiber::kActive,
-                                          std::memory_order_seq_cst)) {
-      runq_.push_back(f);
-      any = true;
-    }
-  }
-  if (any) cv_.notify_all();
-}
-
-void FiberEngine::requeue_parked_pinned(WorkerState& w, int wid) {
+void FiberEngine::requeue_parked(WorkerState& w, int wid) {
   // Bounded-waits fallback: reclaim only *our* parked fibers (the CAS keeps
   // exactly-once resume against concurrent wakers and other workers'
   // fallbacks).
   for (int r = 0; r < live_; ++r) {
-    if ((workers_used_ == 1 ? 0 : affinity_[r]) != wid) continue;
+    if (worker_of(r) != wid) continue;
     Fiber* f = fibers_[static_cast<std::size_t>(r)].get();
     int expected = Fiber::kParked;
     if (f->status.compare_exchange_strong(expected, Fiber::kActive,

@@ -1,31 +1,22 @@
 // o2k::exec::FiberEngine — M:N stackful-fiber scheduler.
 //
-// Runs P logical ranks, each on its own guarded fiber stack, over a fixed
-// pool of M host workers.  Two scheduling modes:
-//
-//   * Shared mode (default, `Plan{}`): one runnable queue under a mutex,
-//     M = min(P, hardware_concurrency) workers (override with
-//     O2K_EXEC_WORKERS).  Any worker runs any fiber.  This is the
-//     single-synchronization-domain scheduler.
-//
-//   * Pinned mode (`Plan{workers, affinity}`): every rank is pinned to one
-//     worker — its synchronization domain (rt::DomainMap) — which owns a
-//     private local run queue.  Cross-worker wakes travel through per-pair
-//     SPSC mailboxes (exec/spsc.hpp) and a per-worker sleep eventcount, so
-//     the inter-domain hot path takes no lock; same-worker wakes are a
-//     plain deque push.  Wakes from threads outside the pool (the threads
-//     backend never coexists, but user code may wake from helper threads)
-//     fall back to a small mutex-guarded overflow queue.
+// Runs P logical ranks, each on its own guarded fiber stack, over M host
+// workers.  Every rank is pinned to one worker — its synchronization domain
+// (rt::DomainMap) — which owns a private local run queue.  Cross-worker
+// wakes travel through per-pair SPSC mailboxes (exec/spsc.hpp) and a
+// per-worker sleep eventcount, so the inter-domain hot path takes no lock;
+// same-worker wakes are a plain deque push.  Wakes from threads outside the
+// pool (user code may wake from helper threads) fall back to a small
+// mutex-guarded overflow queue.
 //
 // The calling thread doubles as worker 0, so at M=1 a run spawns no
 // threads at all (this is what makes warm campaign forks sound).
 //
-// The engine exposes the same eventcount shape as rt::Machine's per-PE
-// wait slots, but parking suspends the *fiber* (a user-space context
-// switch back to its worker) and waking enqueues the fiber on a runnable
-// queue — no condvar signalling, no kernel involvement on the park/wake
-// hot path.  The lost-wakeup window is closed the same way as in the
-// threads backend, by an epoch re-check after the suspend is published:
+// Parking suspends the *fiber* (a user-space context switch back to its
+// worker) and waking enqueues the fiber on its worker's queue — no condvar
+// signalling, no kernel involvement on the park/wake hot path.  The
+// lost-wakeup window is closed by an epoch re-check after the suspend is
+// published:
 //
 //   parker (fiber):        waker (any fiber/thread):
 //     e = epoch              epoch.fetch_add(1)     [seq_cst]
@@ -46,9 +37,8 @@
 //
 // None of this carries timing information: a wake only means "re-evaluate
 // your predicate".  Virtual time is computed from the cost model alone, so
-// host scheduling (threads or fibers, any M, any pinning) cannot change
-// simulated results — the golden fixture and the DomainDeterminism suite
-// in tests/test_rt enforce this.
+// host scheduling (any M) cannot change simulated results — the golden
+// fixture and the DomainDeterminism suite in tests/test_rt enforce this.
 #pragma once
 
 #include <atomic>
@@ -59,7 +49,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "exec/context.hpp"
@@ -72,24 +61,8 @@ namespace o2k::exec {
 /// falls back to the 1 MiB default (never a silent strtol 0).
 [[nodiscard]] std::size_t resolved_stack_bytes();
 
-/// Worker count honouring O2K_EXEC_WORKERS with the same hardening
-/// (accepted range [1, 4096]); invalid values warn and fall back to
-/// min(nprocs, hardware_concurrency).  Shared mode only — pinned mode's
-/// worker count is the domain count chosen by rt::Machine (O2K_WORKERS).
-[[nodiscard]] int resolved_workers(int nprocs);
-
 class FiberEngine {
  public:
-  /// How a run schedules fibers over host workers.
-  struct Plan {
-    /// 0 = shared mode with resolved_workers().  >= 1 = pinned mode with
-    /// exactly this many workers and `affinity` naming each rank's worker.
-    int workers = 0;
-    /// rank -> worker in [0, workers); must stay valid for the whole run.
-    /// Ignored (may be null) in shared mode or when workers == 1.
-    const int* affinity = nullptr;
-  };
-
   /// `stack_bytes == 0` means: honour O2K_EXEC_STACK_KB, else 1 MiB.
   explicit FiberEngine(std::size_t stack_bytes = 0);
   ~FiberEngine();
@@ -97,10 +70,12 @@ class FiberEngine {
   FiberEngine& operator=(const FiberEngine&) = delete;
 
   /// Run body(rank) for every rank in [0, nprocs), each on its own fiber,
-  /// and return when all have finished.  The engine is reusable: stacks
-  /// are pooled across runs.  Requires fibers_supported().
-  void run(int nprocs, const std::function<void(int)>& body) { run(nprocs, body, Plan{}); }
-  void run(int nprocs, const std::function<void(int)>& body, const Plan& plan);
+  /// over `workers` host workers (1 <= workers <= nprocs), and return when
+  /// all have finished.  `affinity` maps rank -> worker in [0, workers) and
+  /// must stay valid for the whole run; it may be null when workers == 1.
+  /// The engine is reusable: stacks are pooled across runs.
+  void run(int nprocs, const std::function<void(int)>& body, int workers,
+           const int* affinity);
 
   /// Current wait epoch of `rank` (the eventcount generation).
   [[nodiscard]] std::uint64_t wait_epoch(int rank) const {
@@ -122,9 +97,9 @@ class FiberEngine {
   /// Number of host workers the last/current run uses.
   [[nodiscard]] int workers() const { return workers_used_; }
 
-  /// Worker id of the calling host thread within this engine's pinned
-  /// pool, or -1 when the caller is not a pool worker of this engine.
-  /// Identifies the producer side for domain-local lock-free structures.
+  /// Worker id of the calling host thread within this engine's pool, or -1
+  /// when the caller is not a pool worker of this engine.  Identifies the
+  /// producer side for domain-local lock-free structures.
   [[nodiscard]] int current_worker() const;
 
   /// True when every fiber of the current run except `rank` is either
@@ -140,6 +115,8 @@ class FiberEngine {
     enum Status : int { kActive = 0, kParked = 1 };
     enum Reason : int { kPark = 0, kDone = 1 };
 
+    ~Fiber() { ctx_release(ctx); }
+
     RawContext ctx;             ///< fiber state while suspended
     RawContext* home = nullptr; ///< worker context to switch back to
     std::unique_ptr<FiberStack> stack;
@@ -151,17 +128,17 @@ class FiberEngine {
     std::atomic<int> status{kActive};
   };
 
-  /// Pinned-mode per-worker state.  `localq` and the inbox consumer
-  /// cursors are owner-only; producers touch the inbox producer cursors,
+  /// Per-worker state.  `localq` and the inbox consumer cursors are
+  /// owner-only; producers touch the inbox producer cursors,
   /// the overflow queue (under its mutex) and the sleep eventcount.
-  /// Fiber completion is tracked globally (`pinned_done_`) so the last
+  /// Fiber completion is tracked globally (`finished_`) so the last
   /// finisher, on any worker, can end the run for every worker.
   struct WorkerState {
     RawContext ctx;
     std::deque<Fiber*> localq;
     std::vector<SpscRing<Fiber*>> inbox;  ///< [producer worker] -> ring
-    // Sleep eventcount (same store-buffering-free protocol as the per-PE
-    // wait slots): producers bump `epoch` after delivering, and notify only
+    // Sleep eventcount (same store-buffering-free protocol as the per-fiber
+    // park/wake): producers bump `epoch` after delivering, and notify only
     // when `sleeping` is set; the owner re-drains between the epoch read
     // and the sleep.
     std::atomic<std::uint64_t> epoch{0};
@@ -175,31 +152,27 @@ class FiberEngine {
   };
 
   static void fiber_main(void* arg);  // ContextEntry
-  void worker_loop(RawContext& home);             // shared mode
-  void worker_loop_pinned(int wid);               // pinned mode
-  void enqueue(Fiber* f);                         // shared-mode runq push
-  void deliver(Fiber* f);                         // pinned-mode routing
+  void worker_main(int wid);
+  [[nodiscard]] int worker_of(int rank) const {
+    return workers_used_ == 1 ? 0 : affinity_[rank];
+  }
+  void deliver(Fiber* f);
   void notify_worker(WorkerState& w);
   bool drain_into_local(WorkerState& w);
-  void requeue_parked_locked();
-  void requeue_parked_pinned(WorkerState& w, int wid);
+  void requeue_parked(WorkerState& w, int wid);
   void ensure_capacity(int nprocs);
 
   std::size_t stack_bytes_;
   std::vector<std::unique_ptr<Fiber>> fibers_;
 
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Fiber*> runq_;
   int live_ = 0;  ///< fibers participating in the current run
-  int done_ = 0;
-  std::atomic<int> pinned_done_{0};  ///< pinned mode: finished fibers, all workers
+  std::atomic<int> finished_{0};  ///< finished fibers of the run, all workers
   int workers_used_ = 0;
-  bool pinned_ = false;
-  const int* affinity_ = nullptr;  ///< rank -> worker (pinned mode)
+  const int* affinity_ = nullptr;  ///< rank -> worker
   std::vector<std::unique_ptr<WorkerState>> wstates_;
   const std::function<void(int)>* body_ = nullptr;
-  std::exception_ptr first_error_;
+  std::mutex error_mu_;
+  std::exception_ptr first_error_;  ///< guarded by error_mu_
 };
 
 }  // namespace o2k::exec

@@ -68,26 +68,14 @@ struct Message {
   double rts_arrival_ns = 0.0;
 };
 
-/// Per-rank message queue.  Blocking receives park on the owner PE's wait
-/// slot; a sender enqueues under `mu` and then wakes the owner, whose
-/// matching predicate rescans the queue under `mu`.  The wait slot's epoch
-/// is the generation counter that closes the classic lost-wakeup window: a
-/// notify between the failed scan and the sleep bumps the epoch, so the
-/// receiver re-scans instead of sleeping (see Pe::park_until).
-///
-/// This locked representation is the fallback for runs that are not
-/// domain-serial (threads backend, shared-mode fibers, single-PE inline).
-/// Domain-serial runs use the sharded substrate below instead.
-struct Mailbox {
-  std::mutex mu;
-  std::deque<Message> q;
-};
-
-/// Sharded-mode per-rank queue: padded so queues homed in different
-/// domains never share a host cache line, and lock-free — only the host
-/// worker that owns the rank's domain ever touches it (intra-domain
-/// senders push directly; the owning receiver drains/scans; cross-domain
-/// senders go through the SPSC channels instead).
+/// Per-rank message queue: padded so queues homed in different domains
+/// never share a host cache line, and lock-free — only the host worker
+/// that owns the rank's domain ever touches it (intra-domain senders push
+/// directly; the owning receiver drains/scans; cross-domain senders go
+/// through the SPSC channels instead).  Blocking receives park the owner
+/// PE and every sender wakes it after delivering; the engine's wait epoch
+/// closes the lost-wakeup window between a failed scan and the park (see
+/// Pe::park_until).
 struct alignas(64) LocalBox {
   std::deque<Message> q;
 };
@@ -121,17 +109,12 @@ struct AlltoallvLane {
 /// Shared state of one MP "job"; create before Machine::run and hand to
 /// every PE's Comm.  One World may only be used by one run at a time.
 ///
-/// Mailbox storage comes in two shapes, chosen per run at the first Comm
-/// construction (bind_run):
-///
-///   * locked (default): one mutex-guarded deque per rank — correct under
-///     any host scheduling.
-///   * sharded (domain-serial runs, i.e. pinned fibers with workers > 1):
-///     one lock-free LocalBox per rank, owned by the rank's domain worker,
-///     plus one unbounded SPSC payload channel per (rank, producer worker)
-///     for cross-domain deliveries.  Intra-domain send/recv touches no
-///     mutex at all; matching order is per-(source) FIFO either way, so
-///     virtual times are bit-identical across representations.
+/// Mailboxes are sharded by synchronization domain: one lock-free LocalBox
+/// per rank, owned by the rank's domain worker, plus one unbounded SPSC
+/// payload channel per (rank, producer worker) for cross-domain
+/// deliveries.  Intra-domain send/recv touches no mutex at all; matching
+/// order is per-(source) FIFO, so virtual times are bit-identical at every
+/// worker count.
 class World {
  public:
   World(const origin::MachineParams& params, int nprocs);
@@ -153,11 +136,15 @@ class World {
   // rendezvous is deterministic.
   static void state_capture(void* world, rt::StateSink& sink);
 
-  /// Pick the mailbox representation for the current run (idempotent; the
-  /// first Comm of a run decides, later Comms re-check cheaply).  Moves any
-  /// queued messages between representations so reuse across runs with
-  /// different worker counts stays sound.
+  /// Size the channels for the current run's worker count (idempotent; the
+  /// first Comm of a run decides, later Comms re-check cheaply).  Folds
+  /// queued channel messages into their LocalBoxes first, so reuse across
+  /// runs with different worker counts stays sound.
   void bind_run(rt::Pe& pe);
+  /// Visit every message queued for `rank`, LocalBox first, then its
+  /// channels in producer order.  Only while no PE of a run is active.
+  template <class Fn>
+  void for_each_queued(int rank, Fn&& fn);
   [[nodiscard]] exec::SpscChannel<detail::Message>& channel(int rank, int producer_worker) {
     return *chan_[static_cast<std::size_t>(rank) * static_cast<std::size_t>(shard_workers_) +
                   static_cast<std::size_t>(producer_worker)];
@@ -165,12 +152,10 @@ class World {
 
   const origin::MachineParams& params_;
   int nprocs_;
-  std::vector<std::unique_ptr<detail::Mailbox>> boxes_;
 
-  // Sharded substrate (see class comment).  `sharded_` flips only in
+  // Mailboxes (see class comment).  `shard_workers_` changes only in
   // bind_run, before any PE communicates.
   std::mutex bind_mu_;
-  bool sharded_ = false;
   int shard_workers_ = 0;
   std::vector<detail::LocalBox> lb_;  ///< [rank]
   std::vector<std::unique_ptr<exec::SpscChannel<detail::Message>>>

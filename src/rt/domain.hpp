@@ -4,8 +4,8 @@
 // two PEs that share a Hub) together with everything homed there: the PEs'
 // fibers and run queue on one host worker, the directory/coherence state of
 // the nodes' memory, and the SHMEM/MP structures addressed at those PEs.
-// `O2K_WORKERS=N` selects N domains; the default 1 reproduces today's
-// single-domain scheduler exactly.
+// `O2K_WORKERS=N` selects N domains; the default is one per hardware
+// thread, clamped to the node count.
 //
 // Domains advance virtual time independently between barriers.  That is
 // safe — bit-identical to the single-domain run, not merely statistically

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <string_view>
 #include <thread>
 
 #include "common/check.hpp"
@@ -27,8 +25,6 @@ void Pe::throw_if_aborted() const {
 int Pe::domain() const { return machine_->domain_map_.domain_of(rank_); }
 
 int Pe::domain_of(int rank) const { return machine_->domain_map_.domain_of(rank); }
-
-bool Pe::domain_serial() const { return machine_->domain_serial(); }
 
 int Pe::host_worker() const { return machine_->host_worker(); }
 
@@ -139,37 +135,13 @@ void Pe::add_barrier_hook(BarrierHookFn fn, void* ctx) { machine_->add_barrier_h
 
 void Pe::checkpoint(const char* label) { machine_->checkpoint_point(*this, label); }
 
-void Pe::wake(int rank) { machine_->wake_slot(rank); }
+void Pe::wake(int rank) { machine_->engine_.wake(rank); }
 
-void Pe::wake_all() { machine_->wake_all_slots(); }
+void Pe::wake_all() { machine_->engine_.wake_all(); }
 
 Machine::Machine(origin::MachineParams params) : params_(params) {
   O2K_REQUIRE(params_.max_pes >= 1, "machine needs at least one PE");
   O2K_REQUIRE(params_.pes_per_node >= 1, "node needs at least one PE");
-}
-
-ExecBackend Machine::exec_backend() const {
-  ExecBackend requested;
-  if (backend_override_) {
-    requested = *backend_override_;
-  } else {
-    static const ExecBackend env_backend = [] {
-      const char* s = std::getenv("O2K_EXEC");
-      if (s != nullptr && *s != '\0') {
-        const std::string_view v{s};
-        if (v == "threads") return ExecBackend::kThreads;
-        if (v != "fibers") {
-          std::fprintf(stderr, "o2k: unknown O2K_EXEC=%s (want fibers|threads), using fibers\n",
-                       s);
-        }
-      }
-      return ExecBackend::kFibers;
-    }();
-    requested = env_backend;
-  }
-  if (requested == ExecBackend::kFibers && !exec::fibers_supported())
-    return ExecBackend::kThreads;
-  return requested;
 }
 
 int Machine::resolve_workers(int nprocs) const {
@@ -179,17 +151,19 @@ int Machine::resolve_workers(int nprocs) const {
     O2K_REQUIRE(w <= nprocs, "more synchronization domains than PEs (workers > P)");
     return w;
   }
-  int w = static_cast<int>(common::env_int_or("O2K_WORKERS", /*fallback=*/1,
-                                              /*min=*/1, /*max=*/4096));
-  if (w > nprocs) {
+  if (const auto env = common::env_int("O2K_WORKERS", /*min=*/1, /*max=*/4096)) {
+    const int w = static_cast<int>(*env);
+    if (w <= nprocs) return w;
     static std::atomic<bool> warned{false};
     if (!warned.exchange(true)) {
       std::fprintf(stderr, "o2k: O2K_WORKERS=%d exceeds the run's P=%d, clamping to P\n", w,
                    nprocs);
     }
-    w = nprocs;
+    return nprocs;
   }
-  return w;
+  // One worker per hardware thread; DomainMap clamps it to the node count.
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  return std::clamp(hw, 1, nprocs);
 }
 
 void Machine::add_barrier_hook(BarrierHookFn fn, void* ctx) {
@@ -207,7 +181,7 @@ void Machine::run_barrier_hooks() {
 void Pe::collective_fence() { machine_->collective_fence(*this); }
 
 void Machine::collective_fence(Pe& pe) {
-  if (!domain_serial()) return;
+  if (run_workers_ == 1) return;
   arrive(pe, *rendezvous_, [this] { ++fence_rounds_; });
 }
 
@@ -233,8 +207,8 @@ void Machine::checkpoint_point(Pe& pe, const char* label) {
   if (!cp_armed_.load(std::memory_order_acquire)) return;
   if (cp_label_ != label) return;
   arrive(pe, *checkpoint_, [&] {
-    // Quiescence: every other PE has arrived and (on a single-worker fiber
-    // host) context-switched out; the callback observes a frozen machine.
+    // Quiescence: every other PE has arrived and (on a single worker)
+    // context-switched out; the callback observes a frozen machine.
     if (++cp_seen_ == cp_occurrence_ && cp_fn_) {
       cp_fired_.store(true, std::memory_order_release);
       cp_fn_(*this, pe);
@@ -243,17 +217,10 @@ void Machine::checkpoint_point(Pe& pe, const char* label) {
 }
 
 bool Machine::fork_safe(int rank) const {
-  if (run_nprocs_ == 1 && engine_ == nullptr) {
-    // Inline single-PE path: run() never spawned a thread.
-    return true;
-  }
-  if (engine_ != nullptr) {
-    // Fiber backend: one host worker (the calling thread) and every other
-    // fiber suspended means no concurrent execution exists to lose across
-    // fork(2).  (FiberEngine::run spawns workers()-1 threads.)
-    return engine_->workers() == 1 && engine_->quiescent_except(rank);
-  }
-  return false;  // threads backend, nprocs > 1: other OS threads exist
+  // One host worker (the calling thread) and every other fiber suspended
+  // means no concurrent execution exists to lose across fork(2).
+  // (FiberEngine::run spawns workers()-1 threads.)
+  return engine_.workers() == 1 && engine_.quiescent_except(rank);
 }
 
 void Machine::record_error(std::exception_ptr e) {
@@ -265,28 +232,7 @@ void Machine::record_error(std::exception_ptr e) {
   // Unblock every parked PE; park_until rechecks aborted() and throws.
   // (The seq_cst epoch bump orders the aborted_ store before any woken
   // PE's re-check.)
-  wake_all_slots();
-}
-
-void Machine::wake_slot(int rank) {
-  if (engine_ != nullptr) {
-    engine_->wake(rank);
-    return;
-  }
-  WaitSlot& s = *slots_[static_cast<std::size_t>(rank)];
-  s.epoch.fetch_add(1, std::memory_order_seq_cst);
-  if (s.parked.load(std::memory_order_seq_cst) != 0) {
-    std::scoped_lock lk(s.mu);
-    s.cv.notify_one();
-  }
-}
-
-void Machine::wake_all_slots() {
-  if (engine_ != nullptr) {
-    engine_->wake_all();
-    return;
-  }
-  for (int r = 0; r < run_nprocs_; ++r) wake_slot(r);
+  engine_.wake_all();
 }
 
 RunResult Machine::run(int nprocs, const std::function<void(Pe&)>& body) {
@@ -313,8 +259,6 @@ RunResult Machine::run(int nprocs, const std::function<void(Pe&)>& body) {
   cp_seen_ = 0;
   cp_fired_.store(false, std::memory_order_relaxed);
   run_nprocs_ = nprocs;
-  while (slots_.size() < static_cast<std::size_t>(nprocs))
-    slots_.push_back(std::make_unique<WaitSlot>());
   aborted_.store(false, std::memory_order_relaxed);
   first_error_ = nullptr;
   {
@@ -329,54 +273,20 @@ RunResult Machine::run(int nprocs, const std::function<void(Pe&)>& body) {
     pes_.back()->sink_ = sink_;
   }
 
-  if (nprocs == 1) {
-    // Fast path: run inline, no thread spawn and no fiber switch.
-    try {
-      body(*pes_[0]);
-    } catch (...) {
-      record_error(std::current_exception());
-    }
-  } else if (exec_backend() == ExecBackend::kFibers) {
-    // M:N fibers: P PE fibers over min(P, hardware_concurrency) workers.
-    // The engine (and its mmap'd stacks) is pooled across runs.
-    if (!engine_storage_) engine_storage_ = std::make_unique<exec::FiberEngine>();
-    engine_ = engine_storage_.get();
-    // Multi-domain runs pin each PE's fiber to its domain's worker; a
-    // single domain keeps the work-shared queue (today's scheduler).
-    exec::FiberEngine::Plan plan;
-    if (run_workers_ > 1) {
-      plan.workers = run_workers_;
-      plan.affinity = domain_map_.affinity().data();
-    }
-    engine_->run(
-        nprocs,
-        [this, &body](int r) {
-          try {
-            body(*pes_[static_cast<std::size_t>(r)]);
-          } catch (const AbortError&) {
-            // Secondary failure caused by another PE's abort; ignore.
-          } catch (...) {
-            record_error(std::current_exception());
-          }
-        },
-        plan);
-    engine_ = nullptr;
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(nprocs));
-    for (int r = 0; r < nprocs; ++r) {
-      threads.emplace_back([this, &body, pe = pes_[static_cast<std::size_t>(r)].get()] {
+  // Each PE's fiber is pinned to its domain's worker; the engine (and its
+  // mmap'd stacks) is pooled across runs.
+  engine_.run(
+      nprocs,
+      [this, &body](int r) {
         try {
-          body(*pe);
+          body(*pes_[static_cast<std::size_t>(r)]);
         } catch (const AbortError&) {
           // Secondary failure caused by another PE's abort; ignore.
         } catch (...) {
           record_error(std::current_exception());
         }
-      });
-    }
-    for (auto& t : threads) t.join();
-  }
+      },
+      run_workers_, domain_map_.affinity().data());
 
   if (first_error_) {
     barrier_.reset();

@@ -1,15 +1,15 @@
 // The virtual-time execution substrate.
 //
 // A Machine hosts P simulated processors (PEs).  Each PE runs as a stackful
-// fiber multiplexed over a fixed host worker pool (o2k::exec::FiberEngine;
-// `O2K_EXEC=threads` selects the legacy thread-per-PE backend), but *all
-// timing is virtual*: computation and communication charge simulated
-// nanoseconds to per-PE clocks according to the Origin2000 cost model.
-// Wall-clock behaviour of the host (which may have a single core) is
-// therefore irrelevant to measured results; speedup curves emerge from the
-// machine model, exactly as DESIGN.md §2 prescribes — and the two execution
-// backends produce bit-identical virtual times, because wakeups carry no
-// timing information (DESIGN.md §2.2).
+// fiber pinned to one of W host workers (o2k::exec::FiberEngine; W is the
+// synchronization-domain count, DESIGN.md §11), but *all timing is
+// virtual*: computation and communication charge simulated nanoseconds to
+// per-PE clocks according to the Origin2000 cost model.  Wall-clock
+// behaviour of the host (which may have a single core) is therefore
+// irrelevant to measured results; speedup curves emerge from the machine
+// model, exactly as DESIGN.md §2 prescribes — and every worker count
+// produces bit-identical virtual times, because wakeups carry no timing
+// information (DESIGN.md §2.2).
 //
 // Synchronisation primitives keep virtual clocks causally consistent:
 //   * barrier(cost): every PE's clock becomes max(all clocks) + cost;
@@ -23,18 +23,15 @@
 // original exception.
 //
 // Waiting discipline (DESIGN.md §5): a blocked PE never polls on a timer.
-// It parks on its per-PE wait slot — an eventcount of {epoch, parked flag,
-// mutex, condvar} owned by the Machine — and the state-changing side calls
-// Pe::wake(rank) / wake_all() *after* publishing the state the waiter's
-// predicate reads.  Wakeups carry no timing information: they only cause
+// It parks its fiber on the engine's per-fiber eventcount, and the
+// state-changing side calls Pe::wake(rank) / wake_all() *after* publishing
+// the state the waiter's predicate reads.  Wakeups carry no timing information: they only cause
 // the predicate to be re-evaluated, and every virtual-clock update is
 // derived from values (release times, arrival times) computed from virtual
 // clocks alone, so host scheduling cannot alter simulated results.
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -54,13 +51,6 @@
 namespace o2k::rt {
 
 class Machine;
-
-/// How Machine::run schedules PEs on the host.  Virtual-time results are
-/// identical either way; only host wall time differs.
-enum class ExecBackend {
-  kFibers,   ///< M:N stackful fibers on a fixed worker pool (default)
-  kThreads,  ///< one OS thread per PE (debugging, TSan)
-};
 
 /// Thrown inside PEs whose run was aborted by another PE's exception.
 struct AbortError : std::runtime_error {
@@ -141,26 +131,21 @@ class Pe {
   [[nodiscard]] std::uint64_t barrier_epochs() const { return barrier_epochs_; }
 
   /// Synchronization domain of this PE / of `rank` under the current run's
-  /// DomainMap (always 0 at O2K_WORKERS=1).  Model runtimes use this to
+  /// DomainMap (always 0 at one worker).  Model runtimes use this to
   /// recognise cross-domain traffic, e.g. for the conservative-lookahead
   /// invariant checks in mp/shmem.  Host placement only — never a cost.
   [[nodiscard]] int domain() const;
   [[nodiscard]] int domain_of(int rank) const;
 
-  /// True when the run executes domain-serially: pinned fiber mode, where
-  /// every rank of a domain runs on that domain's single host worker.
-  /// This is the soundness condition for the runtimes' lock-free
-  /// domain-local fast paths (mp::World's sharded mailboxes).  False for
-  /// the threads backend, shared-mode fibers and single-PE inline runs.
-  [[nodiscard]] bool domain_serial() const;
-
-  /// Pinned-mode worker id of the calling host thread (== the domain whose
-  /// ranks it runs), or -1 when not on a pinned pool worker.  Lock-free
+  /// Worker id of the calling host thread (== the domain whose ranks it
+  /// runs), or -1 when not on a worker of this machine.  Every rank of a
+  /// domain runs on that domain's single worker, which is what makes the
+  /// runtimes' lock-free domain-local paths (mp::World's mailboxes) sound;
   /// producers use this to tell "I own the destination shard" apart from
   /// "I must take the cross-worker channel".
   [[nodiscard]] int host_worker() const;
 
-  /// Number of synchronization domains (== pinned workers) of this run.
+  /// Number of synchronization domains (== host workers) of this run.
   [[nodiscard]] int domains() const;
 
   void add_counter(CounterId id, std::uint64_t v) {
@@ -227,16 +212,16 @@ class Pe {
   /// without it, a rank that leaves an exchange early starts a long
   /// compute loop and holds its domain's worker, while same-domain ranks
   /// still inside the exchange starve and stall their partners in other
-  /// domains (DESIGN.md §13).  Active exactly when domain_serial() holds;
-  /// a no-op otherwise (one worker, threads backend, single-PE runs).  No
+  /// domains (DESIGN.md §13).  Active exactly when domains() > 1; a no-op
+  /// at one worker, where no other domain can stall.  No
   /// virtual clock is read or written, so virtual times are identical
   /// with or without it.  Safe only where every message of the collective
   /// is posted by the time a rank exits it, so ranks still draining them
   /// never depend on a parked PE running further.
   void collective_fence();
 
-  /// Clock-neutral host rendezvous over every PE of the run, under every
-  /// backend and worker count.  The last PE to arrive runs `last()` while
+  /// Clock-neutral host rendezvous over every PE of the run, at every
+  /// worker count.  The last PE to arrive runs `last()` while
   /// every other PE is parked, and none of them resumes before it returns,
   /// so `last` may read what every PE published before arriving and write
   /// what every PE reads after.  mp::Comm::alltoallv evaluates its whole
@@ -288,7 +273,7 @@ class Machine {
 
   /// Execute `body(pe)` on `nprocs` simulated processors and aggregate
   /// per-PE phase statistics.  Rethrows the first PE exception.
-  /// Fork-unsafe: spawns worker threads/fibers, so it must never be reached
+  /// Fork-unsafe: spawns worker threads and fibers, so it must never be reached
   /// from a Machine::arm_checkpoint callback (o2k-lint: o2k-fork-unsafe).
   O2K_FORK_UNSAFE RunResult run(int nprocs, const std::function<void(Pe&)>& body);
 
@@ -300,21 +285,14 @@ class Machine {
   void set_sink(metrics::Sink* sink) { sink_ = sink; }
   [[nodiscard]] metrics::Sink* sink() const { return sink_; }
 
-  /// Force an execution backend for subsequent runs (tests, benches), or
-  /// std::nullopt to return to the O2K_EXEC environment default.  A fibers
-  /// request silently degrades to threads in builds where fibers are
-  /// unsupported (TSan, exotic architectures).
-  void set_exec_backend(std::optional<ExecBackend> b) { backend_override_ = b; }
-  /// The backend the next run() will use, after env/support resolution.
-  [[nodiscard]] ExecBackend exec_backend() const;
-
-  /// Force a synchronization-domain count for subsequent runs (tests,
-  /// benches, the --workers CLI flag), or std::nullopt to return to the
-  /// O2K_WORKERS environment default (1).  An override larger than the
-  /// run's PE count is rejected at run(); the environment path warns and
-  /// clamps instead, matching the env-hardening convention.  Either way
-  /// the count clamps to the node count — a node is the smallest
-  /// shardable unit (see rt::DomainMap) — and virtual times are
+  /// Force a synchronization-domain count (== host workers) for subsequent
+  /// runs (tests, benches, the --workers CLI flag), or std::nullopt to
+  /// return to the O2K_WORKERS environment value, else
+  /// hardware_concurrency().  An override larger than the run's PE count
+  /// is rejected at run(); the environment path warns and clamps instead,
+  /// matching the env-hardening convention.  Every path clamps to the node
+  /// count — a node is the smallest shardable unit (see rt::DomainMap) —
+  /// so the default is min(nodes, hardware threads).  Virtual times are
   /// bit-identical at every setting; only host wall time changes.
   void set_workers(std::optional<int> w) { workers_override_ = w; }
   /// Domains the current/last run actually used (after clamping).
@@ -324,14 +302,11 @@ class Machine {
 
   /// Completed Pe::collective_fence rounds of the current/last run (0 when
   /// the fence was inert).  Tests use it to prove the fence is live
-  /// exactly on the domain-serial substrate.
+  /// exactly when the run has more than one domain.
   [[nodiscard]] std::uint64_t fence_rounds() const { return fence_rounds_; }
 
-  /// See Pe::domain_serial / Pe::host_worker.
-  [[nodiscard]] bool domain_serial() const { return engine_ != nullptr && run_workers_ > 1; }
-  [[nodiscard]] int host_worker() const {
-    return engine_ != nullptr ? engine_->current_worker() : -1;
-  }
+  /// See Pe::host_worker.
+  [[nodiscard]] int host_worker() const { return engine_.current_worker(); }
 
   /// Register `fn(ctx)` to run exactly once per barrier round, on the PE
   /// that releases the barrier, *before* any waiter resumes (model runtimes
@@ -364,29 +339,12 @@ class Machine {
   [[nodiscard]] Pe& run_pe(int r) { return *pes_.at(static_cast<std::size_t>(r)); }
 
   /// True when fork(2) from PE `rank`'s context is sound right now: the
-  /// process is running this machine single-host-threaded (nprocs == 1
-  /// inline, or the fiber backend on one worker) and every other PE is
-  /// suspended.  The threads backend with nprocs > 1 is never fork-safe.
+  /// run uses one host worker (the calling thread, so no other host thread
+  /// exists) and every other PE is suspended.
   [[nodiscard]] bool fork_safe(int rank) const;
 
  private:
   friend class Pe;
-
-  /// One eventcount per PE: the only blocking primitive in the substrate.
-  ///
-  /// Waiter protocol (park_until): load `epoch`, test the predicate, then —
-  /// under `mu`, with `parked` set — sleep on `cv` until the epoch moved.
-  /// Waker protocol (wake_slot): bump `epoch`, and only if `parked` is set
-  /// take `mu` and notify.  Both `epoch` and `parked` accesses are seq_cst,
-  /// so the store-buffering interleaving (waiter misses the bump AND waker
-  /// misses the flag) is impossible; the parked==0 fast path makes a wake
-  /// of a running PE two uncontended atomic ops.
-  struct WaitSlot {
-    std::atomic<std::uint64_t> epoch{0};
-    std::atomic<int> parked{0};
-    std::mutex mu;
-    std::condition_variable cv;
-  };
 
   struct BarrierState {
     std::mutex mu;
@@ -431,7 +389,6 @@ class Machine {
 
   origin::MachineParams params_;
   metrics::Sink* sink_ = nullptr;
-  std::optional<ExecBackend> backend_override_;
   std::optional<int> workers_override_;
   DomainMap domain_map_;     ///< rank→domain partition of the current run
   int run_workers_ = 1;      ///< domains the current/last run uses
@@ -439,26 +396,20 @@ class Machine {
   /// Backing implementation of Pe::collective_fence.
   void collective_fence(Pe& pe);
 
-  // Per-run state (valid while run() is active).  Slots grow monotonically
-  // and are never destroyed mid-run, so a PE may park on its slot at any
-  // point of the run.
+  // Per-run state (valid while run() is active).
   std::unique_ptr<BarrierState> barrier_;
   std::unique_ptr<RendezvousState> rendezvous_;  ///< collective_fence + Pe::rendezvous
   std::uint64_t fence_rounds_ = 0;  ///< completed fence rounds (under rendezvous_->mu)
   std::unique_ptr<RendezvousState> checkpoint_;
   std::vector<std::unique_ptr<Pe>> pes_;
-  std::vector<std::unique_ptr<WaitSlot>> slots_;
   int run_nprocs_ = 0;
   std::atomic<bool> aborted_{false};
   std::mutex error_mu_;
   std::exception_ptr first_error_;
 
-  // Fiber backend: the engine is pooled across runs (stacks are mmap'd
-  // once); `engine_` is non-null exactly while a fiber-backed multi-PE run
-  // is active, and routes park_until/wake through the fiber scheduler
-  // instead of the condvar wait slots.
-  std::unique_ptr<exec::FiberEngine> engine_storage_;
-  exec::FiberEngine* engine_ = nullptr;
+  // Pooled across runs: stacks are mmap'd once.  Every park_until and wake
+  // goes through its per-fiber eventcounts.
+  exec::FiberEngine engine_;
 
   std::mutex hooks_mu_;
   std::vector<std::pair<BarrierHookFn, void*>> barrier_hooks_;
@@ -474,40 +425,18 @@ class Machine {
   void checkpoint_point(Pe& pe, const char* label);
 
   void record_error(std::exception_ptr e);
-  void wake_slot(int rank);
-  void wake_all_slots();
 };
 
 template <class Pred>
 void Pe::park_until(Pred&& pred) {
-  // Fiber backend: parking is a user-space context switch back to the
-  // worker; a wake re-enqueues this PE's fiber.  Same eventcount protocol
-  // as the slot path below, no syscalls on the park/wake hot path.
-  if (exec::FiberEngine* eng = machine_->engine_) {
-    for (;;) {
-      const std::uint64_t e = eng->wait_epoch(rank_);
-      if (pred()) return;
-      throw_if_aborted();
-      eng->park(rank_, e);
-    }
-  }
-  Machine::WaitSlot& slot = *machine_->slots_[static_cast<std::size_t>(rank_)];
+  // Parking is a user-space context switch back to the PE's worker; a wake
+  // re-enqueues this PE's fiber.  No syscalls on the park/wake hot path.
+  exec::FiberEngine& eng = machine_->engine_;
   for (;;) {
-    const std::uint64_t e = slot.epoch.load(std::memory_order_seq_cst);
+    const std::uint64_t e = eng.wait_epoch(rank_);
     if (pred()) return;
     throw_if_aborted();
-    std::unique_lock lk(slot.mu);
-    slot.parked.store(1, std::memory_order_seq_cst);
-    if (slot.epoch.load(std::memory_order_seq_cst) == e) {
-#ifdef O2K_BOUNDED_WAITS
-      // Debug fallback: bounded sleep instead of an open-ended park, so a
-      // missing-wake bug degrades to slow polling instead of a hang.
-      slot.cv.wait_for(lk, std::chrono::seconds(1));
-#else
-      slot.cv.wait(lk, [&] { return slot.epoch.load(std::memory_order_relaxed) != e; });
-#endif
-    }
-    slot.parked.store(0, std::memory_order_relaxed);
+    eng.park(rank_, e);
   }
 }
 
@@ -529,7 +458,7 @@ void Machine::arrive(Pe& pe, RendezvousState& st, Fn&& last) {
   last();
   st.generation.store(my_gen + 1, std::memory_order_release);
   lk.unlock();
-  wake_all_slots();
+  engine_.wake_all();
 }
 
 template <class Fn>

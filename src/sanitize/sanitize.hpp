@@ -83,7 +83,7 @@ class RaceEngine;
 }
 
 /// The analysis context.  Install with Scope (or init_from_env) before
-/// constructing substrate Worlds; all hooks are thread-safe (PE threads
+/// constructing substrate Worlds; all hooks are thread-safe (PEs on different workers
 /// call them concurrently) and observer-only.
 class Sanitizer {
  public:

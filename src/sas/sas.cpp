@@ -625,7 +625,7 @@ std::pair<std::size_t, std::size_t> Team::dynamic_next(std::size_t chunk) {
   // break by rank — including against *busy* PEs, which may still request
   // at exactly their mirrored clock (e.g. right after a barrier, when every
   // clock is equal) — so the chunk→PE map is a pure function of virtual
-  // time and rank, bit-reproducible across execution backends.
+  // time and rank, bit-reproducible across host worker counts.
   auto may_go = [&] {
     if (d.next >= d.end) return true;  // drained while we waited
     for (int p = 0; p < size(); ++p) {

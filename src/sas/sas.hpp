@@ -23,7 +23,7 @@
 //     therefore emerges naturally, and — unlike an eagerly-published
 //     version counter — every charge is a function of barrier-separated
 //     state, so CC-SAS virtual times are bit-identical across runs and
-//     execution backends regardless of host scheduling.  First-touch page
+//     host worker counts regardless of host scheduling.  First-touch page
 //     homes commit the same way (minimum claiming rank wins; claimants
 //     treat the page as local during the claiming epoch).  The one
 //     remaining host-order-dependent primitive is Team::lock, whose
@@ -41,7 +41,7 @@
 // *virtual-time order* (the PE whose clock is least gets the next chunk,
 // ties broken by rank), which is what real self-scheduling achieves in real
 // time — and because the tie-break is total, the chunk→PE assignment is a
-// pure function of virtual time, bit-reproducible across backends.
+// pure function of virtual time, bit-reproducible across worker counts.
 #pragma once
 
 #include <atomic>

@@ -1,8 +1,10 @@
-// Tests for the campaign subsystem: snapshot write/verify round trips on
-// both exec backends, corruption/divergence detection, spec parsing, grid
-// expansion (warm grouping), and the hardened O2K_EXEC_* env parsing.
+// Tests for the campaign subsystem: snapshot write/verify round trips
+// across host worker counts, corruption/divergence detection, spec
+// parsing, grid expansion (warm grouping), and the hardened env parsing.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -16,7 +18,6 @@
 #include "apps/nbody_app.hpp"
 #include "campaign/campaign.hpp"
 #include "campaign/snapshot.hpp"
-#include "exec/context.hpp"
 #include "exec/engine.hpp"
 #include "rt/machine.hpp"
 
@@ -57,12 +58,13 @@ const char* marker_for(const std::string& app) {
   return "setup";
 }
 
-// Write a snapshot at the app's marker on `write_backend`, then verify it by
-// replay on `verify_backend`.  Passing proves (a) the rendezvous capture is
-// deterministic and (b) snapshots are portable across exec backends.
-void round_trip(const std::string& app, apps::Model model, rt::ExecBackend write_backend,
-                rt::ExecBackend verify_backend) {
-  const int p = 2;
+// Write a snapshot at the app's marker on `write_workers` host workers,
+// then verify it by replay on `verify_workers`.  Passing proves (a) the
+// rendezvous capture is deterministic and (b) snapshots are portable across
+// worker counts.  P = 8 spans four nodes, so up to four domains.
+void round_trip(const std::string& app, apps::Model model, int write_workers,
+                int verify_workers) {
+  const int p = 8;
   const std::string slug = apps::model_slug(model);
   const std::string path = temp_path("snap_" + app + "_" + slug + ".snap");
   campaign::SnapshotMeta meta;
@@ -73,13 +75,13 @@ void round_trip(const std::string& app, apps::Model model, rt::ExecBackend write
   meta.occurrence = 1;
 
   rt::Machine m;
-  m.set_exec_backend(write_backend);
+  m.set_workers(write_workers);
   {
     campaign::ScopedCheckpoint cp(m, campaign::ScopedCheckpoint::Mode::kWrite, path, meta);
     run_small(app, model, m, p);
     cp.finish();
   }
-  m.set_exec_backend(verify_backend);
+  m.set_workers(verify_workers);
   {
     campaign::ScopedCheckpoint cp(m, campaign::ScopedCheckpoint::Mode::kVerify, path, meta);
     run_small(app, model, m, p);
@@ -88,31 +90,56 @@ void round_trip(const std::string& app, apps::Model model, rt::ExecBackend write
   fs::remove(path);
 }
 
-TEST(Snapshot, RoundTripNbodySasThreads) {
-  round_trip("nbody", apps::Model::kSas, rt::ExecBackend::kThreads,
-             rt::ExecBackend::kThreads);
+// The *Threads round trips write and verify on four host threads (W = 4).
+TEST(Snapshot, RoundTripNbodySasThreads) { round_trip("nbody", apps::Model::kSas, 4, 4); }
+
+TEST(Snapshot, RoundTripMeshMpThreads) { round_trip("mesh", apps::Model::kMp, 4, 4); }
+
+TEST(Snapshot, RoundTripDhtShmemThreads) { round_trip("dht", apps::Model::kShmem, 4, 4); }
+
+TEST(Snapshot, RoundTripAcrossWorkers) {
+  // Write on one worker count, verify on another: virtual time and the
+  // captured state must be invariant under the domain decomposition.
+  round_trip("nbody", apps::Model::kSas, 1, 4);
+  round_trip("mesh", apps::Model::kMp, 4, 1);
+  round_trip("dht", apps::Model::kShmem, 2, 4);
 }
 
-TEST(Snapshot, RoundTripMeshMpThreads) {
-  round_trip("mesh", apps::Model::kMp, rt::ExecBackend::kThreads,
-             rt::ExecBackend::kThreads);
-}
+// The o2k.snap.v1 header keeps its `backend` line: the writer writes
+// "fibers", and the reader skips the value, so files written when the
+// line could also say "threads" still load and verify.
+TEST(Snapshot, LegacyBackendLineIsWrittenAndIgnored) {
+  const std::string path = temp_path("snap_legacy.snap");
+  campaign::SnapshotMeta meta;
+  meta.app = "nbody";
+  meta.model = "sas";
+  meta.nprocs = 2;
+  meta.label = "step";
 
-TEST(Snapshot, RoundTripDhtShmemThreads) {
-  round_trip("dht", apps::Model::kShmem, rt::ExecBackend::kThreads,
-             rt::ExecBackend::kThreads);
-}
-
-TEST(Snapshot, RoundTripAcrossBackends) {
-  if (!exec::fibers_supported()) GTEST_SKIP() << "fiber backend unsupported here";
-  // Write under fibers, verify under threads and vice versa: virtual time
-  // and the captured state must be backend-invariant.
-  round_trip("nbody", apps::Model::kSas, rt::ExecBackend::kFibers,
-             rt::ExecBackend::kThreads);
-  round_trip("mesh", apps::Model::kMp, rt::ExecBackend::kThreads,
-             rt::ExecBackend::kFibers);
-  round_trip("dht", apps::Model::kShmem, rt::ExecBackend::kFibers,
-             rt::ExecBackend::kFibers);
+  rt::Machine m;
+  {
+    campaign::ScopedCheckpoint cp(m, campaign::ScopedCheckpoint::Mode::kWrite, path, meta);
+    run_small("nbody", apps::Model::kSas, m, 2);
+    cp.finish();
+  }
+  std::string text;
+  {
+    std::ifstream in(path);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    text = ss.str();
+  }
+  const std::string written = "\nbackend fibers\n";
+  const std::size_t at = text.find(written);
+  ASSERT_NE(at, std::string::npos) << text.substr(0, 120);
+  text.replace(at, written.size(), "\nbackend threads\n");
+  std::ofstream(path) << text;
+  {
+    campaign::ScopedCheckpoint cp(m, campaign::ScopedCheckpoint::Mode::kVerify, path, meta);
+    run_small("nbody", apps::Model::kSas, m, 2);
+    EXPECT_NO_THROW(cp.finish());
+  }
+  fs::remove(path);
 }
 
 TEST(Snapshot, TamperedFileRejected) {
@@ -124,7 +151,6 @@ TEST(Snapshot, TamperedFileRejected) {
   meta.label = "step";
 
   rt::Machine m;
-  m.set_exec_backend(rt::ExecBackend::kThreads);
   campaign::ScopedCheckpoint cp(m, campaign::ScopedCheckpoint::Mode::kWrite, path, meta);
   run_small("nbody", apps::Model::kSas, m, 2);
   cp.finish();
@@ -158,7 +184,6 @@ TEST(Snapshot, VerifyDetectsDivergentReplay) {
   meta.label = "step";
 
   rt::Machine m;
-  m.set_exec_backend(rt::ExecBackend::kThreads);
   {
     campaign::ScopedCheckpoint cp(m, campaign::ScopedCheckpoint::Mode::kWrite, path, meta);
     run_small("nbody", apps::Model::kSas, m, 2, /*scale=*/0);
@@ -183,7 +208,6 @@ TEST(Snapshot, WriteFailsIfMarkerNeverFires) {
   meta.label = "no-such-marker";
 
   rt::Machine m;
-  m.set_exec_backend(rt::ExecBackend::kThreads);
   campaign::ScopedCheckpoint cp(m, campaign::ScopedCheckpoint::Mode::kWrite, path, meta);
   run_small("nbody", apps::Model::kSas, m, 2);
   EXPECT_THROW(cp.finish(), campaign::SnapshotError);
@@ -205,7 +229,6 @@ TEST(CampaignSpec, ParsesFullGrammar) {
                                       "app nbody\n"
                                       "models mp,sas\n"
                                       "p 2,4\n"
-                                      "exec fibers,threads\n"
                                       "warm 1\n"
                                       "verify 1\n"
                                       "jobs 3\n"
@@ -215,7 +238,6 @@ TEST(CampaignSpec, ParsesFullGrammar) {
   EXPECT_EQ(spec.app, "nbody");
   EXPECT_EQ(spec.models, (std::vector<std::string>{"mp", "sas"}));
   EXPECT_EQ(spec.procs, (std::vector<int>{2, 4}));
-  EXPECT_EQ(spec.backends, (std::vector<std::string>{"fibers", "threads"}));
   EXPECT_TRUE(spec.warm);
   EXPECT_TRUE(spec.verify);
   EXPECT_EQ(spec.jobs, 3);
@@ -241,6 +263,30 @@ TEST(CampaignSpec, RejectsMissingSchemaAndBadDirectives) {
   fs::remove(bad_p);
 
   EXPECT_THROW((void)campaign::parse_spec(temp_path("no_such.spec")), campaign::SpecError);
+}
+
+// There is one scheduler, so the former `exec` directive is an unknown
+// directive: the runner exits 2 and names the offending line.
+TEST(CampaignSpec, ExecLineIsRejected) {
+  const std::string path = write_spec("spec_exec",
+                                      "schema o2k.campaign.v1\n"
+                                      "app nbody\n"
+                                      "models sas\n"
+                                      "p 2\n"
+                                      "exec fibers\n");
+  const std::string cmd = std::string(O2K_CAMPAIGN_BIN) + " --spec=" + path + " --out=" +
+                          temp_path("campaign_exec_out") + " 2>&1";
+  std::string output;
+  std::FILE* p = ::popen(cmd.c_str(), "r");
+  ASSERT_NE(p, nullptr);
+  std::array<char, 4096> buf{};
+  std::size_t n = 0;
+  while ((n = std::fread(buf.data(), 1, buf.size(), p)) > 0) output.append(buf.data(), n);
+  const int status = ::pclose(p);
+  ASSERT_TRUE(WIFEXITED(status)) << output;
+  EXPECT_EQ(WEXITSTATUS(status), campaign::kExitSpecError) << output;
+  EXPECT_NE(output.find(path + ":5: unknown directive 'exec'"), std::string::npos) << output;
+  fs::remove(path);
 }
 
 TEST(CampaignSpec, RejectsUnknownAndIllTypedParams) {
@@ -281,7 +327,7 @@ TEST(CampaignSpec, WarmGroupsBranchableSweeps) {
   EXPECT_EQ(warm[0].cp_label, "step");
   for (const auto& u : warm[0].units) EXPECT_EQ(u.overlay.count("nbody.steps"), 1u);
 
-  // Host without fibers: same grid, all cold singleton groups.
+  // Warm forking disabled (--no-warm): same grid, all cold singleton groups.
   const auto cold = campaign::expand(spec, /*allow_warm=*/false);
   EXPECT_EQ(cold.size(), 3u);
   for (const auto& g : cold) {
@@ -303,8 +349,8 @@ TEST(CampaignSpec, WorkersAxisExpandsColdOnly) {
   EXPECT_EQ(spec.workers, (std::vector<int>{1, 4}));
 
   // workers=1 points warm-group as before; workers=4 points always run
-  // cold (the pinned engine's pool threads make the rendezvous unsafe to
-  // fork) and carry a .w4 label segment.
+  // cold (the engine's pool threads make the rendezvous unsafe to fork)
+  // and carry a .w4 label segment.
   const auto groups = campaign::expand(spec, /*allow_warm=*/true);
   int warm_groups = 0, w4_cold = 0;
   for (const auto& g : groups) {
@@ -353,7 +399,7 @@ TEST(CampaignSpec, VerifyAddsColdControls) {
   fs::remove(path);
 }
 
-// ---- hardened O2K_EXEC_* resolution -------------------------------------
+// ---- hardened env resolution -------------------------------------------
 
 TEST(ExecEnv, StackBytesFallsBackOnJunk) {
   ::setenv("O2K_EXEC_STACK_KB", "64MB", 1);
@@ -366,14 +412,19 @@ TEST(ExecEnv, StackBytesFallsBackOnJunk) {
 }
 
 TEST(ExecEnv, WorkersFallBackOnJunk) {
-  ::setenv("O2K_EXEC_WORKERS", "not-a-number", 1);
-  const int fallback = exec::resolved_workers(4);
-  EXPECT_GE(fallback, 1);
-  EXPECT_LE(fallback, 4);
-  ::setenv("O2K_EXEC_WORKERS", "2", 1);
-  EXPECT_EQ(exec::resolved_workers(4), 2);
-  EXPECT_EQ(exec::resolved_workers(1), 1);  // clamped to nprocs
-  ::unsetenv("O2K_EXEC_WORKERS");
+  rt::Machine m;
+  ::unsetenv("O2K_WORKERS");
+  m.run(8, [](rt::Pe&) {});
+  const int fallback = m.workers();  // min(nodes, hardware threads)
+  ::setenv("O2K_WORKERS", "not-a-number", 1);
+  m.run(8, [](rt::Pe&) {});
+  EXPECT_EQ(m.workers(), fallback);
+  ::setenv("O2K_WORKERS", "2", 1);
+  m.run(8, [](rt::Pe&) {});
+  EXPECT_EQ(m.workers(), 2);
+  m.run(1, [](rt::Pe&) {});
+  EXPECT_EQ(m.workers(), 1);  // clamped to nprocs
+  ::unsetenv("O2K_WORKERS");
 }
 
 }  // namespace

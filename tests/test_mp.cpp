@@ -374,28 +374,29 @@ TEST_P(MpWakeupStress, ShuffledManyTagManyRank) {
   EXPECT_EQ(r1.pe_ns, r2.pe_ns);
 }
 
-// Backend equivalence under wakeup races: the fiber engine and thread-per-PE
-// must produce identical virtual clocks for the same stress program, and the
-// fiber engine must be reproducible against itself.
+// Worker-count equivalence under wakeup races: fibers on one host thread
+// and on several host threads (W = 2, 4, clamped to the node count) must
+// produce identical virtual clocks for the same stress program, and
+// repeated multi-threaded runs must reproduce each other.
 TEST_P(MpWakeupStress, FibersMatchThreadsAndRepeatedRuns) {
   const int p = GetParam();
   rt::Machine m;
-  World wf1(m.params(), p), wf2(m.params(), p), wt(m.params(), p);
-  m.set_exec_backend(rt::ExecBackend::kFibers);
-  const auto f1 = m.run(p, shuffled_stress_body(wf1, p));
-  const auto f2 = m.run(p, shuffled_stress_body(wf2, p));
-  m.set_exec_backend(rt::ExecBackend::kThreads);
-  const auto t = m.run(p, shuffled_stress_body(wt, p));
-  m.set_exec_backend(std::nullopt);
-  EXPECT_EQ(f1.pe_ns, f2.pe_ns);
-  EXPECT_EQ(f1.pe_ns, t.pe_ns);
+  auto run_at = [&](int workers) {
+    World w(m.params(), p);
+    m.set_workers(std::min(workers, p));
+    return m.run(p, shuffled_stress_body(w, p)).pe_ns;
+  };
+  const auto one = run_at(1);
+  EXPECT_EQ(one, run_at(2));
+  EXPECT_EQ(one, run_at(4));
+  EXPECT_EQ(one, run_at(4));
 }
 
 // Wake-during-reschedule: zero-work ping-pong makes every recv park and
 // every send wake a fiber that is right now being switched away from, so
 // the engine's missed-wake window (between a fiber's park decision and the
 // worker publishing its parked status) is hit continuously.  Forcing
-// several workers makes host threads race those wakes even on small hosts.
+// several workers makes host threads race those wakes across domains.
 TEST_P(MpWakeupStress, FibersWakeDuringReschedule) {
   const int p = GetParam();
   if (p % 2 != 0) GTEST_SKIP() << "ping-pong needs paired ranks";
@@ -417,13 +418,11 @@ TEST_P(MpWakeupStress, FibersWakeDuringReschedule) {
       comm.barrier();
     };
   };
-  ASSERT_EQ(setenv("O2K_EXEC_WORKERS", "4", /*overwrite=*/1), 0);
   rt::Machine m;
-  m.set_exec_backend(rt::ExecBackend::kFibers);
+  m.set_workers(std::min(4, p));
   World w1(m.params(), p), w2(m.params(), p);
   const auto r1 = m.run(p, body(w1));
   const auto r2 = m.run(p, body(w2));
-  unsetenv("O2K_EXEC_WORKERS");
   EXPECT_EQ(r1.pe_ns, r2.pe_ns);
 }
 
@@ -436,7 +435,6 @@ INSTANTIATE_TEST_SUITE_P(ProcCounts, MpWakeupStress, ::testing::Values(2, 4, 8, 
 TEST(MpFiberAbort, AbortUnwindsAcrossParkedFibers) {
   constexpr int kP = 64;
   rt::Machine m;
-  m.set_exec_backend(rt::ExecBackend::kFibers);
   World w(m.params(), kP);
   EXPECT_THROW(m.run(kP,
                      [&w](rt::Pe& pe) {
@@ -457,7 +455,6 @@ TEST(MpFiberAbort, AbortUnwindsAcrossParkedFibers) {
     comm.barrier();
   });
   EXPECT_EQ(rr.nprocs, kP);
-  m.set_exec_backend(std::nullopt);
 }
 
 // ---------------------------------------------------------------------------
@@ -562,11 +559,9 @@ std::size_t block_len(unsigned seed, int round, int src, int dst, std::size_t ea
   return eager_elems + 1 + rng() % 16;
 }
 
-ExchangeRun run_exchange(int p, rt::ExecBackend backend, int workers, bool reference,
-                         unsigned seed) {
+ExchangeRun run_exchange(int p, int workers, bool reference, unsigned seed) {
   constexpr int kRounds = 2;
   rt::Machine m;
-  m.set_exec_backend(backend);
   m.set_workers(std::min(workers, p));
   RecordingSink sink(p);
   m.set_sink(&sink);
@@ -610,16 +605,7 @@ class MpAlltoallvEquivalence : public ::testing::TestWithParam<int> {};
 TEST_P(MpAlltoallvEquivalence, BitIdenticalToPairwiseExchange) {
   const int p = GetParam();
   constexpr unsigned kSeed = 2024;
-  struct Leg {
-    rt::ExecBackend backend;
-    int workers;
-    const char* name;
-  };
-  const Leg legs[] = {{rt::ExecBackend::kFibers, 1, "fibers W=1"},
-                      {rt::ExecBackend::kFibers, 2, "pinned W=2"},
-                      {rt::ExecBackend::kFibers, 4, "pinned W=4"},
-                      {rt::ExecBackend::kThreads, 4, "threads W=4"}};
-  const ExchangeRun want = run_exchange(p, rt::ExecBackend::kFibers, 1, /*reference=*/true, kSeed);
+  const ExchangeRun want = run_exchange(p, 1, /*reference=*/true, kSeed);
   const std::size_t eager_elems = rt::Machine().params().mp_eager_bytes / sizeof(std::int32_t);
   for (int round = 0; round < 2; ++round) {
     for (int me = 0; me < p; ++me) {
@@ -633,10 +619,10 @@ TEST_P(MpAlltoallvEquivalence, BitIdenticalToPairwiseExchange) {
     }
   }
   EXPECT_EQ(want.mp_recvs, 2u * static_cast<std::uint64_t>(p) * static_cast<std::uint64_t>(p - 1));
-  for (const Leg& leg : legs) {
-    SCOPED_TRACE(leg.name);
+  for (int workers : {1, 2, 4}) {
+    SCOPED_TRACE("W=" + std::to_string(workers));
     for (bool reference : {true, false}) {
-      const ExchangeRun got = run_exchange(p, leg.backend, leg.workers, reference, kSeed);
+      const ExchangeRun got = run_exchange(p, workers, reference, kSeed);
       EXPECT_EQ(want.canon, got.canon) << (reference ? "pairwise" : "alltoallv");
       EXPECT_EQ(want.events, got.events) << (reference ? "pairwise" : "alltoallv");
       EXPECT_EQ(want.mp_recvs, got.mp_recvs);
@@ -649,14 +635,11 @@ INSTANTIATE_TEST_SUITE_P(ProcCounts, MpAlltoallvEquivalence, ::testing::Values(1
 
 // A PE that throws before it reaches alltoallv leaves every other rank
 // parked at the entry rendezvous; the abort must unwind all of them and
-// run() must rethrow the original error, under every backend and W.
+// run() must rethrow the original error, at every W.
 TEST(MpAlltoallvAbort, ThrowBeforeEntryUnwindsEveryParkedRank) {
   constexpr int kP = 16;
-  for (auto [backend, workers] : {std::pair(rt::ExecBackend::kFibers, 1),
-                                  std::pair(rt::ExecBackend::kFibers, 4),
-                                  std::pair(rt::ExecBackend::kThreads, 4)}) {
+  for (int workers : {1, 2, 4}) {
     rt::Machine m;
-    m.set_exec_backend(backend);
     m.set_workers(workers);
     World w(m.params(), kP);
     std::atomic<int> unwound{0};
