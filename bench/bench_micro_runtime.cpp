@@ -123,6 +123,28 @@ void BM_SasTouch(benchmark::State& state) {
 }
 BENCHMARK(BM_SasTouch);
 
+// Single-element reads of one resident line: after the first read misses
+// it in, every read is a cache hit with no sink or sanitizer attached.
+void BM_SasTouchHit(benchmark::State& state) {
+  constexpr int kReads = 1 << 20;
+  rt::Machine machine;
+  sas::World w(machine.params(), 1, std::size_t{1} << 20);
+  auto arr = w.alloc<double>(16);  // 128 B: one line
+  double sum = 0.0;
+  for (auto _ : state) {
+    machine.run(1, [&](rt::Pe& pe) {
+      sas::Team team(w, pe);
+      for (int i = 0; i < kReads; ++i) sum += team.read(arr, static_cast<std::size_t>(i) & 15);
+    });
+  }
+  benchmark::DoNotOptimize(sum);
+  // Seconds per hit, printed with an SI prefix (e.g. "8ns").
+  state.counters["time_per_hit"] =
+      benchmark::Counter(static_cast<double>(state.iterations()) * kReads,
+                         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SasTouchHit);
+
 // ---------------------------------------------------------------------------
 // --wall mode: end-to-end host wall-clock of the fig1/fig3 smoke sweeps.
 // ---------------------------------------------------------------------------

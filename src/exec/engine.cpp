@@ -1,5 +1,6 @@
 #include "exec/engine.hpp"
 
+#include <cassert>
 #include <chrono>
 #include <cstdlib>
 #include <thread>
@@ -13,8 +14,7 @@ namespace {
 
 /// Which engine/worker the current OS thread is, if it is a pool worker.
 /// Lets wake() route a cross-worker handoff through the right SPSC ring
-/// (producer identity is the ring index); threads outside the pool — or
-/// workers of a *different* engine — take the mutex-guarded overflow path.
+/// (producer identity is the ring index).
 struct TlsWorker {
   FiberEngine* eng = nullptr;
   int wid = -1;
@@ -84,8 +84,6 @@ void FiberEngine::run(int nprocs, const std::function<void(int)>& body, int work
     ws.localq.clear();
     ws.epoch.store(0, std::memory_order_relaxed);
     ws.sleeping.store(0, std::memory_order_relaxed);
-    ws.ext_pending.store(0, std::memory_order_relaxed);
-    ws.extq.clear();
     if (ws.inbox.size() < static_cast<std::size_t>(workers))
       ws.inbox = std::vector<SpscRing<Fiber*>>(static_cast<std::size_t>(workers));
   }
@@ -191,15 +189,6 @@ bool FiberEngine::drain_into_local(WorkerState& w) {
       any = true;
     }
   }
-  if (w.ext_pending.load(std::memory_order_acquire) != 0) {
-    std::lock_guard<std::mutex> lk(w.extq_mu);
-    while (!w.extq.empty()) {
-      w.localq.push_back(w.extq.front());
-      w.extq.pop_front();
-      any = true;
-    }
-    w.ext_pending.store(0, std::memory_order_relaxed);
-  }
   return any;
 }
 
@@ -223,19 +212,17 @@ void FiberEngine::deliver(Fiber* f) {
   const int dst = worker_of(f->rank);
   WorkerState& w = *wstates_[static_cast<std::size_t>(dst)];
   const TlsWorker t = tls_worker;
-  if (t.eng == this && t.wid == dst) {
+  // Every waker is a fiber of this run (Pe::wake/wake_all, the abort in
+  // Machine::record_error, a rendezvous release), so it runs on one of our
+  // workers and owns the producer side of that worker's ring.
+  assert(t.eng == this && "FiberEngine::wake called off the engine's workers");
+  if (t.wid == dst) {
     // Same worker: plain owner-thread push, no notification needed — we
     // are by definition awake.
     w.localq.push_back(f);
     return;
   }
-  if (t.eng == this) {
-    w.inbox[static_cast<std::size_t>(t.wid)].push(f);
-  } else {
-    std::lock_guard<std::mutex> lk(w.extq_mu);
-    w.extq.push_back(f);
-    w.ext_pending.store(1, std::memory_order_release);
-  }
+  w.inbox[static_cast<std::size_t>(t.wid)].push(f);
   notify_worker(w);
 }
 

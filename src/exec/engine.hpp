@@ -5,9 +5,8 @@
 // (rt::DomainMap) — which owns a private local run queue.  Cross-worker
 // wakes travel through per-pair SPSC mailboxes (exec/spsc.hpp) and a
 // per-worker sleep eventcount, so the inter-domain hot path takes no lock;
-// same-worker wakes are a plain deque push.  Wakes from threads outside the
-// pool (user code may wake from helper threads) fall back to a small
-// mutex-guarded overflow queue.
+// same-worker wakes are a plain deque push.  Every wake comes from a fiber
+// running on a worker of the engine (see wake()).
 //
 // The calling thread doubles as worker 0, so at M=1 a run spawns no
 // threads at all (this is what makes warm campaign forks sound).
@@ -18,7 +17,7 @@
 // lost-wakeup window is closed by an epoch re-check after the suspend is
 // published:
 //
-//   parker (fiber):        waker (any fiber/thread):
+//   parker (fiber):        waker (any fiber of the run):
 //     e = epoch              epoch.fetch_add(1)     [seq_cst]
 //     test predicate         if status == kParked
 //     park(e): switch out      and CAS(kParked -> kActive): enqueue
@@ -88,7 +87,9 @@ class FiberEngine {
   void park(int rank, std::uint64_t observed_epoch);
 
   /// Wake `rank`: bump its epoch and, if its fiber is parked, move it to
-  /// its runnable queue.  Callable from any fiber or host thread.
+  /// its runnable queue.  Precondition: the caller runs on a worker of this
+  /// engine (a fiber of the current run), which names the SPSC mailbox the
+  /// handoff travels through.
   void wake(int rank);
 
   /// Wake every rank of the current run.
@@ -129,8 +130,8 @@ class FiberEngine {
   };
 
   /// Per-worker state.  `localq` and the inbox consumer cursors are
-  /// owner-only; producers touch the inbox producer cursors,
-  /// the overflow queue (under its mutex) and the sleep eventcount.
+  /// owner-only; producers touch the inbox producer cursors and the sleep
+  /// eventcount.
   /// Fiber completion is tracked globally (`finished_`) so the last
   /// finisher, on any worker, can end the run for every worker.
   struct WorkerState {
@@ -145,10 +146,6 @@ class FiberEngine {
     std::atomic<int> sleeping{0};
     std::mutex mu;
     std::condition_variable cv;
-    // Overflow path for producers outside the worker pool.
-    std::mutex extq_mu;
-    std::deque<Fiber*> extq;
-    std::atomic<int> ext_pending{0};
   };
 
   static void fiber_main(void* arg);  // ContextEntry

@@ -235,6 +235,7 @@ Team::Team(World& world, rt::Pe& pe) : world_(world), pe_(pe) {
   wrote_line_.reset(
       static_cast<std::uint32_t*>(std::calloc(world.num_lines_, sizeof(std::uint32_t))));
   O2K_REQUIRE(wrote_line_ != nullptr, "sas: wrote-line table allocation failed");
+  my_clock_ = &world.pe_clock_[static_cast<std::size_t>(rank())];
   pe.add_barrier_hook(&World::commit_epoch_hook, &world);
   world_.pe_state_[static_cast<std::size_t>(rank())].store(0, std::memory_order_relaxed);
   mirror_clock();
@@ -249,10 +250,13 @@ void Team::mirror_clock() {
   // seq_cst exchange + load pair against a registering waiter's seq_cst
   // min_wait_clock store + clock loads: one side always observes the other,
   // so a dispatch waiter cannot miss the moment our clock crosses its entry
-  // time (see Dispatch).
-  const auto me = static_cast<std::size_t>(rank());
+  // time (see Dispatch).  An unchanged clock returns early: only this PE
+  // writes its slot, so the relaxed load sees its own last store, and the
+  // exchange would store that same value and get old == now, which wakes
+  // no one (DESIGN.md §5).
   const double now = pe_.now();
-  const double old = world_.pe_clock_[me].exchange(now, std::memory_order_seq_cst);
+  if (my_clock_->load(std::memory_order_relaxed) == now) return;
+  const double old = my_clock_->exchange(now, std::memory_order_seq_cst);
   const double m = world_.dispatch_.min_wait_clock.load(std::memory_order_seq_cst);
   // Wake when our clock crosses the waiter minimum, *or* leaves it behind:
   // a waiter at exactly `m` may be tie-blocked by our lower rank (may_go),
@@ -315,10 +319,6 @@ void Team::emit_remote_traces() {
     trace_lines_by_home_[static_cast<std::size_t>(home)] = 0;
   }
   trace_homes_.clear();
-}
-
-void Team::touch_read(std::size_t off, std::size_t bytes) {
-  touch_read_ann(off, bytes, 0, 0, 0, /*atomic=*/false);
 }
 
 void Team::touch_write(std::size_t off, std::size_t bytes) {
@@ -395,8 +395,15 @@ void Team::touch_read_ann(std::size_t off, std::size_t bytes, std::size_t elem,
     cached_version_[set] = mine ? ver + 1 : ver;
   }
   if (premium > 0.0) pe_.advance(premium);
-  pe_.add_counter(c_read_misses_, misses);
-  pe_.add_counter(c_remote_misses_, remote);
+  // remote <= misses, so a walk that missed nothing has nothing to add.
+  if (misses != 0 || !read_walked_) {
+    pe_.add_counter(c_read_misses_, misses);
+    pe_.add_counter(c_remote_misses_, remote);
+    read_walked_ = true;
+  }
+  hit_cver_ = cver;
+  hit_lbase_ = lbase;
+  hit_lend_ = lend;
   if (tracing) emit_remote_traces();
   mirror_clock();
   if (auto* s = sanitize::active()) {
@@ -422,7 +429,7 @@ void Team::touch_write_ann(std::size_t off, std::size_t bytes, std::size_t elem,
   std::uint64_t remote = 0;
   std::uint64_t transfers = 0;
   const bool tracing = pe_.tracing();
-  // Batched walk: see touch_read for the hoisting, shard-window,
+  // Batched walk: see touch_read_ann for the hoisting, shard-window,
   // bit-identity and epoch-stability notes.  Every charge below is a
   // function of committed (barrier-separated) state plus this PE's own
   // history; the epoch-writer cell is written but never read into a charge,
@@ -487,9 +494,12 @@ void Team::touch_write_ann(std::size_t off, std::size_t bytes, std::size_t elem,
     cached_version_[set] = ver + 1;  // valid after commit iff we stay sole writer
   }
   if (premium > 0.0) pe_.advance(premium);
-  pe_.add_counter(c_write_misses_, misses);
-  pe_.add_counter(c_remote_misses_, remote);
-  pe_.add_counter(c_ownership_, transfers);
+  if (misses != 0 || transfers != 0 || !write_walked_) {
+    pe_.add_counter(c_write_misses_, misses);
+    pe_.add_counter(c_remote_misses_, remote);
+    pe_.add_counter(c_ownership_, transfers);
+    write_walked_ = true;
+  }
   if (tracing) emit_remote_traces();
   mirror_clock();
   if (auto* s = sanitize::active()) {

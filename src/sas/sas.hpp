@@ -56,6 +56,7 @@
 
 #include "common/check.hpp"
 #include "rt/machine.hpp"
+#include "sanitize/sanitize.hpp"
 
 namespace o2k::rt {
 class StateSink;
@@ -255,7 +256,10 @@ class World {
   // 1 (+inf when none), maintained under `mu`.  A busy PE whose mirrored
   // clock crosses it (Team::mirror_clock) wakes the team so waiters
   // re-evaluate the virtual-time dispatch order — the event that the old
-  // implementation discovered by polling.
+  // implementation discovered by polling.  Only a clock *change* can cross:
+  // mirror_clock returns early when the slot already holds now(), and a
+  // read hit (Team::read_hit) takes no walk only while the slot is
+  // current, so no skipped publication can hide a crossing from a waiter.
   struct Dispatch {
     std::mutex mu;
     std::size_t next = 0;
@@ -281,7 +285,9 @@ class Team {
 
   // ---- charged accesses -----------------------------------------------
   /// Charge a read of `bytes` starting at arena offset `off`.
-  void touch_read(std::size_t off, std::size_t bytes);
+  void touch_read(std::size_t off, std::size_t bytes) {
+    if (!read_hit(off, bytes)) touch_read_ann(off, bytes, 0, 0, 0, /*atomic=*/false);
+  }
   void touch_write(std::size_t off, std::size_t bytes);
 
   template <typename T>
@@ -319,8 +325,9 @@ class Team {
                          std::size_t foff, std::size_t flen) {
     O2K_REQUIRE(first + n <= a.count, "sas: range out of bounds");
     O2K_REQUIRE(foff + flen <= sizeof(T), "sas: field annotation outside element");
-    touch_read_ann(a.offset + first * sizeof(T), n * sizeof(T), sizeof(T), foff, flen,
-                   /*atomic=*/false);
+    const std::size_t off = a.offset + first * sizeof(T);
+    if (!read_hit(off, n * sizeof(T)))
+      touch_read_ann(off, n * sizeof(T), sizeof(T), foff, flen, /*atomic=*/false);
   }
   template <typename T>
   void touch_write_fields(const SharedArray<T>& a, std::size_t first, std::size_t n,
@@ -336,7 +343,7 @@ class Team {
   /// between two atomics, and each overlapped 8-byte word carries an
   /// acquire/release edge (writer publishes, reader observes).
   void touch_read_atomic(std::size_t off, std::size_t bytes) {
-    touch_read_ann(off, bytes, 0, 0, 0, /*atomic=*/true);
+    if (!read_hit(off, bytes)) touch_read_ann(off, bytes, 0, 0, 0, /*atomic=*/true);
   }
   void touch_write_atomic(std::size_t off, std::size_t bytes) {
     touch_write_ann(off, bytes, 0, 0, 0, /*atomic=*/true);
@@ -392,6 +399,34 @@ class Team {
   }
   void emit_remote_traces();
 
+  // Inline read hit.  True when [off, off+bytes) spans at most two lines
+  // (one array element), both inside the directory shard the last read
+  // walk ended in, each line hits in this PE's cache (tag match, and a
+  // current committed version or this PE's own dirty copy of the epoch),
+  // no sink or sanitizer observes the touch, and this PE's mirrored clock
+  // is current.  The walk would then charge nothing, count nothing (the
+  // first read touch always walks, see read_walked_), emit nothing and
+  // leave the mirror unchanged, so skipping it is exact.  Every other touch
+  // returns false and takes the walk.
+  [[nodiscard]] bool read_hit(std::size_t off, std::size_t bytes) {
+    if (!geom_shifts_ || bytes == 0) return false;
+    const std::size_t first = off >> line_shift_;
+    const std::size_t last = (off + bytes - 1) >> line_shift_;
+    if (last - first > 1 || first - hit_lbase_ >= hit_lend_ - hit_lbase_ || last >= hit_lend_ ||
+        off + bytes > world_.arena_bytes_)
+      return false;
+    if (!line_hits(first) || (last != first && !line_hits(last))) return false;
+    if (pe_.tracing() || my_clock_->load(std::memory_order_relaxed) != pe_.now()) return false;
+    return sanitize::active() == nullptr;
+  }
+  // The touch walk's hit test for `line`, inside the read_hit window.
+  [[nodiscard]] bool line_hits(std::size_t line) const {
+    const std::size_t set = sets_mask_ != 0 ? (line & sets_mask_) : (line % num_sets_);
+    return tag_[set] == line + 1 &&
+           (cached_version_[set] == hit_cver_[line - hit_lbase_] ||
+            wrote_line_[line] == static_cast<std::uint32_t>(pe_.barrier_epochs() + 1));
+  }
+
   // The real touch walks: charge + coherence update, then (only when a
   // sanitizer is installed) report the access with its annotation.
   void touch_read_ann(std::size_t off, std::size_t bytes, std::size_t elem,
@@ -440,6 +475,19 @@ class Team {
   std::vector<std::uint8_t> remote_by_pe_;  ///< 1 when that home is off-node
   std::vector<std::uint64_t> trace_lines_by_home_;
   std::vector<int> trace_homes_;
+
+  // read_hit state.  The window [hit_lbase_, hit_lend_) and its committed
+  // versions `hit_cver_` are the directory shard the last read walk ended
+  // in; shard arrays live as long as the World, and the window stays empty
+  // until the first read walk.  `my_clock_` is this PE's mirrored-clock slot.
+  const std::uint32_t* hit_cver_ = nullptr;
+  std::size_t hit_lbase_ = 0, hit_lend_ = 0;
+  std::atomic<double>* my_clock_ = nullptr;
+  // Whether this Team has walked a read (a write) touch.  A walk that
+  // counted nothing calls add_counter only the first time: that first call
+  // registers the counter keys, and later ones would add 0.
+  bool read_walked_ = false;
+  bool write_walked_ = false;
 
   // Interned counter ids, resolved once per Team so per-touch accounting
   // never hashes or allocates a name.

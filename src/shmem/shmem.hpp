@@ -149,7 +149,9 @@ class Ctx {
   void put(SymPtr<T> dst, std::span<const T> src, int target_pe) {
     rma_check<T>(dst, src.size(), target_pe);
     charge_put(dst.offset, src.size_bytes(), target_pe, /*blocking=*/true);
-    std::memcpy(heap(target_pe) + dst.offset, src.data(), src.size_bytes());
+    // An empty span may have a null data(), which memcpy must not see.
+    if (src.size_bytes() != 0)
+      std::memcpy(heap(target_pe) + dst.offset, src.data(), src.size_bytes());
   }
   template <typename T>
   void put_value(SymPtr<T> dst, const T& v, int target_pe) {
@@ -160,13 +162,15 @@ class Ctx {
   void put_nbi(SymPtr<T> dst, std::span<const T> src, int target_pe) {
     rma_check<T>(dst, src.size(), target_pe);
     charge_put(dst.offset, src.size_bytes(), target_pe, /*blocking=*/false);
-    std::memcpy(heap(target_pe) + dst.offset, src.data(), src.size_bytes());
+    if (src.size_bytes() != 0)
+      std::memcpy(heap(target_pe) + dst.offset, src.data(), src.size_bytes());
   }
   template <typename T>
   void get(std::span<T> dst, SymPtr<T> src, int target_pe) {
     rma_check<T>(src, dst.size(), target_pe);
     charge_get(src.offset, dst.size_bytes(), target_pe);
-    std::memcpy(dst.data(), heap(target_pe) + src.offset, dst.size_bytes());
+    if (dst.size_bytes() != 0)
+      std::memcpy(dst.data(), heap(target_pe) + src.offset, dst.size_bytes());
   }
   template <typename T>
   [[nodiscard]] T get_value(SymPtr<T> src, int target_pe) {

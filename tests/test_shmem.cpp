@@ -98,6 +98,32 @@ TEST(ShmemRma, PutNbiChargesBandwidthAtQuiet) {
   });
 }
 
+TEST(ShmemRma, EmptySpansAreChargedButCopyNothing) {
+  // An empty block (a PE contributing nothing to an allgatherv) has a null
+  // data(): put, put_nbi and get must charge the operation as usual and
+  // never hand that pointer to memcpy (UBSan's nonnull check).
+  World w(machine().params(), 4);
+  const auto& P = machine().params();
+  const auto rr = machine().run(4, [&](rt::Pe& pe) {
+    Ctx ctx(w, pe);
+    auto arr = ctx.malloc<double>(4);
+    ctx.barrier_all();
+    const int target = (pe.rank() + 2) % 4;  // different node
+    const double wire = P.wire_ns(pe.rank(), target);
+    const double t0 = pe.now();
+    ctx.put(arr, std::span<const double>{}, target);
+    EXPECT_DOUBLE_EQ(pe.now() - t0, P.shmem_o_ns);
+    ctx.put_nbi(arr, std::span<const double>{}, target);
+    ctx.quiet();
+    EXPECT_DOUBLE_EQ(pe.now() - t0, 3 * P.shmem_o_ns + wire);
+    ctx.get(std::span<double>{}, arr, target);
+    EXPECT_DOUBLE_EQ(pe.now() - t0, 4 * P.shmem_o_ns + 3 * wire);
+  });
+  EXPECT_EQ(rr.counters.at("shmem.puts"), 8u);
+  EXPECT_EQ(rr.counters.at("shmem.gets"), 4u);
+  EXPECT_EQ(rr.counters.at("shmem.bytes"), 0u);
+}
+
 TEST(ShmemRma, BoundsChecked) {
   World w(machine().params(), 2);
   EXPECT_THROW(machine().run(2,
