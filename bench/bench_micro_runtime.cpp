@@ -43,9 +43,11 @@
 
 #include "apps/dht_app.hpp"
 #include "apps/mesh_app.hpp"
+#include "apps/mesh_detail.hpp"
 #include "apps/nbody_app.hpp"
 #include "bench_gate.hpp"
 #include "mp/comm.hpp"
+#include "plum/partition.hpp"
 #include "sas/sas.hpp"
 #include "shmem/shmem.hpp"
 
@@ -144,6 +146,59 @@ void BM_SasTouchHit(benchmark::State& state) {
                          benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_SasTouchHit);
+
+// The mesh apps' host kernels on a 30x30x29 box (156 600 tets, about the
+// element count the mesh-p64 workload reaches in its last phase).
+const mesh::TetMesh& bench_box() {
+  static const mesh::TetMesh m = mesh::make_box_mesh(30, 30, 29);
+  return m;
+}
+
+std::vector<plum::Element> bench_cloud() {
+  const mesh::TetMesh& m = bench_box();
+  std::vector<plum::Element> el(m.tets.size());
+  for (std::size_t t = 0; t < m.tets.size(); ++t) {
+    el[t] = {m.centroid(static_cast<mesh::TetId>(t)), 1.0};
+  }
+  return el;
+}
+
+// Rank 0's serial RIB of the gathered element cloud into P = 64 parts.
+void BM_RibPartition(benchmark::State& state) {
+  const auto el = bench_cloud();
+  for (auto _ : state) benchmark::DoNotOptimize(plum::rib_partition(el, 64).data());
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(el.size()));
+}
+BENCHMARK(BM_RibPartition)->Unit(benchmark::kMillisecond);
+
+// One local_mask sweep over rank 0's share of a P = 64 partition, against
+// the marks of a sphere front over the whole mesh (each PE's mark set holds
+// every rank's marks, as in the apps).
+void BM_MeshLocalMask(benchmark::State& state) {
+  const mesh::TetMesh& m = bench_box();
+  const auto owner = plum::rib_partition(bench_cloud(), 64);
+  apps::detail::LocalMesh all, mine;
+  for (std::size_t t = 0; t < m.tets.size(); ++t) {
+    apps::detail::TetRec r{};
+    for (int k = 0; k < 4; ++k) {
+      const Vec3& p = m.verts[static_cast<std::size_t>(m.tets[t].v[static_cast<std::size_t>(k)])];
+      r.c[k][0] = p.x;
+      r.c[k][1] = p.y;
+      r.c[k][2] = p.z;
+    }
+    all.add_record(r);
+    if (owner[t] == 0) mine.add_record(r);
+  }
+  apps::detail::MarkSet64 marks;
+  apps::detail::mark_local(all, {Vec3(8.0, 8.0, 8.0), 9.0, 1.5}, marks);
+  std::uint64_t sum = 0;
+  for (auto _ : state) {
+    for (std::size_t t = 0; t < mine.tets.size(); ++t) sum += apps::detail::local_mask(mine, t, marks);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(mine.tets.size()));
+}
+BENCHMARK(BM_MeshLocalMask);
 
 // ---------------------------------------------------------------------------
 // --wall mode: end-to-end host wall-clock of the fig1/fig3 smoke sweeps.

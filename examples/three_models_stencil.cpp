@@ -10,7 +10,6 @@
 //   ./three_models_stencil --cells=4096 --sweeps=50 --procs=8
 #include <cmath>
 #include <iostream>
-#include <numeric>
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
@@ -23,11 +22,6 @@ using namespace o2k;
 namespace {
 
 constexpr double kWorkPerCellNs = 12.0;  // ~6 flops
-
-/// Residual checksum so all versions can be compared.
-double checksum(std::span<const double> u) {
-  return std::accumulate(u.begin(), u.end(), 0.0);
-}
 
 std::vector<double> initial(std::size_t n) {
   std::vector<double> u(n, 0.0);

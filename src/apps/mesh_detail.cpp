@@ -10,6 +10,7 @@ mesh::VertId LocalMesh::vert_id(const Vec3& p) {
   if (it != vert_by_key_.end()) return it->second;
   const auto id = static_cast<mesh::VertId>(verts.size());
   verts.push_back(p);
+  vkeys.push_back(key);
   vert_by_key_.emplace(key, id);
   return id;
 }
@@ -55,28 +56,9 @@ double LocalMesh::total_volume() const {
   return v;
 }
 
-std::uint64_t LocalMesh::edge_key(const mesh::EdgeKey& e) const {
-  return mesh::geo_edge_key(verts[static_cast<std::size_t>(e.a)],
-                            verts[static_cast<std::size_t>(e.b)]);
-}
-
-std::uint64_t LocalMesh::edge_key(std::size_t t, int local_edge) const {
-  const mesh::Tet& e = tets[t];
-  const auto& le = mesh::kTetEdges[static_cast<std::size_t>(local_edge)];
-  return edge_key(mesh::EdgeKey(e.v[static_cast<std::size_t>(le[0])],
-                                e.v[static_cast<std::size_t>(le[1])]));
-}
-
-std::size_t LocalMesh::count_edges() const {
-  std::unordered_set<std::uint64_t> seen;
-  for (std::size_t t = 0; t < tets.size(); ++t) {
-    for (int le = 0; le < 6; ++le) seen.insert(edge_key(t, le));
-  }
-  return seen.size();
-}
-
 void LocalMesh::clear() {
   verts.clear();
+  vkeys.clear();
   tets.clear();
   vert_by_key_.clear();
 }
@@ -85,11 +67,12 @@ std::size_t mark_local(const LocalMesh& lm, const mesh::SphereFront& front, Mark
   std::size_t added = 0;
   for (std::size_t t = 0; t < lm.tets.size(); ++t) {
     const mesh::Tet& e = lm.tets[t];
-    for (const auto& le : mesh::kTetEdges) {
-      const Vec3& a = lm.verts[static_cast<std::size_t>(e.v[static_cast<std::size_t>(le[0])])];
-      const Vec3& b = lm.verts[static_cast<std::size_t>(e.v[static_cast<std::size_t>(le[1])])];
+    for (int le = 0; le < 6; ++le) {
+      const auto& ends = mesh::kTetEdges[static_cast<std::size_t>(le)];
+      const Vec3& a = lm.verts[static_cast<std::size_t>(e.v[static_cast<std::size_t>(ends[0])])];
+      const Vec3& b = lm.verts[static_cast<std::size_t>(e.v[static_cast<std::size_t>(ends[1])])];
       if (!front.cuts(a, b)) continue;
-      if (marks.insert(mesh::geo_edge_key(a, b)).second) ++added;
+      if (marks.insert(lm.edge_key(t, le))) ++added;
     }
   }
   return added;
@@ -98,7 +81,7 @@ std::size_t mark_local(const LocalMesh& lm, const mesh::SphereFront& front, Mark
 std::uint8_t local_mask(const LocalMesh& lm, std::size_t t, const MarkSet64& marks) {
   std::uint8_t mask = 0;
   for (int le = 0; le < 6; ++le) {
-    if (marks.count(lm.edge_key(t, le)) != 0) mask |= static_cast<std::uint8_t>(1u << le);
+    if (marks.contains(lm.edge_key(t, le))) mask |= static_cast<std::uint8_t>(1u << le);
   }
   return mask;
 }
@@ -115,7 +98,7 @@ std::size_t close_local_round(const LocalMesh& lm, const MarkSet64& marks,
     for (int le = 0; le < 6; ++le) {
       if ((want & (1u << le)) == 0 || (mask & (1u << le)) != 0) continue;
       const std::uint64_t key = lm.edge_key(t, le);
-      if (marks.count(key) == 0 && adds.insert(key).second) additions.push_back(key);
+      if (!marks.contains(key) && adds.insert(key)) additions.push_back(key);
     }
   }
   return promotions;

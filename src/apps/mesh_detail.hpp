@@ -12,9 +12,9 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "common/check.hpp"
 #include "mesh/mesh.hpp"
 #include "mesh/refine.hpp"
 
@@ -35,13 +35,64 @@ struct ElemRec {
   std::int32_t pad = 0;
 };
 
-/// Marked edges, identified by the geo key of the edge midpoint.
-using MarkSet64 = std::unordered_set<std::uint64_t>;
+/// Marked edges, identified by their geo edge keys (never 0).  A
+/// power-of-two open-addressing set with linear probing, in which slot
+/// value 0 means empty.  Nothing iterates it, so its layout never reaches
+/// simulated state.
+class MarkSet64 {
+ public:
+  /// Adds `key`; true if it was not present yet.
+  bool insert(std::uint64_t key) {
+    O2K_CHECK(key != 0, "MarkSet64: key 0 is the empty slot");
+    std::size_t i = slot_of(key);
+    for (; slots_[i] != 0; i = (i + 1) & mask_) {
+      if (slots_[i] == key) return false;
+    }
+    slots_[i] = key;
+    if (++size_ * 2 > slots_.size()) grow();
+    return true;
+  }
+
+  [[nodiscard]] bool contains(std::uint64_t key) const {
+    for (std::size_t i = slot_of(key); slots_[i] != 0; i = (i + 1) & mask_) {
+      if (slots_[i] == key) return true;
+    }
+    return false;
+  }
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+ private:
+  /// Fibonacci hashing: the top bits of key * 2^64/phi, so keys that agree
+  /// in their low bits still spread.
+  [[nodiscard]] std::size_t slot_of(std::uint64_t key) const {
+    return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+
+  void grow() {
+    std::vector<std::uint64_t> old(slots_.size() * 2, 0);
+    old.swap(slots_);
+    mask_ = slots_.size() - 1;
+    --shift_;
+    for (std::uint64_t key : old) {
+      if (key == 0) continue;
+      std::size_t i = slot_of(key);
+      while (slots_[i] != 0) i = (i + 1) & mask_;
+      slots_[i] = key;
+    }
+  }
+
+  std::vector<std::uint64_t> slots_ = std::vector<std::uint64_t>(16, 0);
+  std::size_t mask_ = 15;
+  int shift_ = 60;  ///< 64 - log2(slots_.size())
+  std::size_t size_ = 0;
+};
 
 /// Rank-local mesh with geometric vertex dedup.
 class LocalMesh {
  public:
   std::vector<Vec3> verts;
+  std::vector<std::uint64_t> vkeys;  ///< geo_key(verts[i]), kept in step with verts
   std::vector<mesh::Tet> tets;
 
   /// Find-or-create a vertex by position (geo_key identity).
@@ -54,16 +105,24 @@ class LocalMesh {
   [[nodiscard]] double volume(std::size_t t) const;
   [[nodiscard]] double total_volume() const;
 
-  /// Geo key of a local edge (key of its midpoint).
-  [[nodiscard]] std::uint64_t edge_key(const mesh::EdgeKey& e) const;
-  [[nodiscard]] std::uint64_t edge_key(std::size_t t, int local_edge) const;
-
-  /// Number of distinct local edges (for cost charging).
-  [[nodiscard]] std::size_t count_edges() const;
+  /// Geo edge key of a local edge, from its endpoints' cached vertex keys.
+  [[nodiscard]] std::uint64_t edge_key(const mesh::EdgeKey& e) const {
+    return mesh::geo_edge_key_of_keys(vkey(e.a), vkey(e.b));
+  }
+  [[nodiscard]] std::uint64_t edge_key(std::size_t t, int local_edge) const {
+    const mesh::Tet& e = tets[t];
+    const auto& le = mesh::kTetEdges[static_cast<std::size_t>(local_edge)];
+    return mesh::geo_edge_key_of_keys(vkey(e.v[static_cast<std::size_t>(le[0])]),
+                                      vkey(e.v[static_cast<std::size_t>(le[1])]));
+  }
 
   void clear();
 
  private:
+  [[nodiscard]] std::uint64_t vkey(mesh::VertId v) const {
+    return vkeys[static_cast<std::size_t>(v)];
+  }
+
   std::unordered_map<std::uint64_t, mesh::VertId> vert_by_key_;
 };
 

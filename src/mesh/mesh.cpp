@@ -162,12 +162,7 @@ TetMesh make_box_mesh(int nx, int ny, int nz, double scale) {
 }
 
 std::uint64_t geo_edge_key(const Vec3& a, const Vec3& b) {
-  std::uint64_t ka = geo_key(a);
-  std::uint64_t kb = geo_key(b);
-  if (ka > kb) std::swap(ka, kb);
-  std::uint64_t s = ka ^ (kb * 0x9e3779b97f4a7c15ULL) ^ (kb >> 31);
-  std::uint64_t key = splitmix64(s);
-  return key == 0 ? 1 : key;  // 0 is reserved by the SAS edge table
+  return geo_edge_key_of_keys(geo_key(a), geo_key(b));
 }
 
 std::uint64_t geo_key(const Vec3& p) {

@@ -10,9 +10,11 @@
 #include <array>
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "common/vec3.hpp"
 
 namespace o2k::mesh {
@@ -110,7 +112,16 @@ std::uint64_t geo_key(const Vec3& p);
 /// Order-independent key for an edge given its endpoint *positions*.
 /// Distinct edges can share a midpoint (an apex-to-face-mid edge and the
 /// corresponding mid-to-mid edge meet at the same point), so edge identity
-/// must hash both endpoints, never the midpoint.
+/// must hash both endpoints, never the midpoint.  Never 0.
 std::uint64_t geo_edge_key(const Vec3& a, const Vec3& b);
+
+/// The same key from the endpoints' geo keys:
+/// geo_edge_key(a, b) == geo_edge_key_of_keys(geo_key(a), geo_key(b)).
+inline std::uint64_t geo_edge_key_of_keys(std::uint64_t ka, std::uint64_t kb) {
+  if (ka > kb) std::swap(ka, kb);
+  std::uint64_t s = ka ^ (kb * 0x9e3779b97f4a7c15ULL) ^ (kb >> 31);
+  const std::uint64_t key = splitmix64(s);
+  return key == 0 ? 1 : key;  // 0 is reserved by the SAS edge table and MarkSet64
+}
 
 }  // namespace o2k::mesh

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -58,27 +59,25 @@ Vec3 principal_axis(std::span<const Element> elems, std::span<const int> subset)
 
 namespace {
 
-void rib_recurse(std::span<const Element> elems, std::vector<int>& subset, int part_lo,
-                 int nparts, std::vector<int>& out) {
+void rib_recurse(std::span<const Element> elems, std::span<int> subset, int part_lo, int nparts,
+                 std::vector<std::pair<double, int>>& keyed, std::vector<int>& out) {
   if (nparts == 1 || subset.size() <= 1) {
+    // With one element or none left there is nothing to split; all weight
+    // lands in part_lo.
     for (int i : subset) out[static_cast<std::size_t>(i)] = part_lo;
-    if (subset.size() <= 1 && nparts > 1) {
-      // Degenerate: nothing left to split; all weight lands in part_lo.
-      for (int i : subset) out[static_cast<std::size_t>(i)] = part_lo;
-    }
     return;
   }
   const int k1 = nparts / 2;
   const int k2 = nparts - k1;
   const Vec3 axis = principal_axis(elems, subset);
 
-  // Sort by projection (ties by index for determinism).
-  std::sort(subset.begin(), subset.end(), [&](int a, int b) {
-    const double pa = elems[static_cast<std::size_t>(a)].pos.dot(axis);
-    const double pb = elems[static_cast<std::size_t>(b)].pos.dot(axis);
-    if (pa != pb) return pa < pb;
-    return a < b;
-  });
+  // Sort by projection, ties by index: a strict total order, so the
+  // permutation is unique.  Each projection is computed once, not per
+  // comparison.
+  keyed.clear();
+  for (int i : subset) keyed.emplace_back(elems[static_cast<std::size_t>(i)].pos.dot(axis), i);
+  std::sort(keyed.begin(), keyed.end());
+  for (std::size_t j = 0; j < subset.size(); ++j) subset[j] = keyed[j].second;
 
   double total = 0.0;
   for (int i : subset) total += elems[static_cast<std::size_t>(i)].weight;
@@ -92,10 +91,8 @@ void rib_recurse(std::span<const Element> elems, std::vector<int>& subset, int p
   }
   if (split == 0) split = 1;  // both halves non-empty
 
-  std::vector<int> left(subset.begin(), subset.begin() + static_cast<std::ptrdiff_t>(split));
-  std::vector<int> right(subset.begin() + static_cast<std::ptrdiff_t>(split), subset.end());
-  rib_recurse(elems, left, part_lo, k1, out);
-  rib_recurse(elems, right, part_lo + k1, k2, out);
+  rib_recurse(elems, subset.first(split), part_lo, k1, keyed, out);
+  rib_recurse(elems, subset.subspan(split), part_lo + k1, k2, keyed, out);
 }
 
 }  // namespace
@@ -106,7 +103,9 @@ std::vector<int> rib_partition(std::span<const Element> elems, int nparts) {
   if (nparts == 1 || elems.empty()) return out;
   std::vector<int> subset(elems.size());
   std::iota(subset.begin(), subset.end(), 0);
-  rib_recurse(elems, subset, 0, nparts, out);
+  std::vector<std::pair<double, int>> keyed;
+  keyed.reserve(elems.size());
+  rib_recurse(elems, subset, 0, nparts, keyed, out);
   return out;
 }
 

@@ -10,10 +10,12 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <unordered_set>
 
 #include "apps/mesh_detail.hpp"
 #include "apps/replicated.hpp"
 #include "apps/sas_table.hpp"
+#include "common/rng.hpp"
 #include "mp/comm.hpp"
 #include "shmem/shmem.hpp"
 
@@ -99,6 +101,123 @@ TEST(LocalMeshTest, RefineMatchesSerialTemplates) {
   EXPECT_EQ(st.new_tets, 2u);
   EXPECT_EQ(lm.tets.size(), 2u);
   EXPECT_NEAR(lm.total_volume(), 1.0 / 6.0, 1e-12);
+}
+
+// Every cached vertex key is the geo key of its vertex, whichever path
+// created or moved the vertex.
+void expect_vkeys_in_step(const LocalMesh& lm) {
+  ASSERT_EQ(lm.vkeys.size(), lm.verts.size());
+  for (std::size_t i = 0; i < lm.verts.size(); ++i) {
+    EXPECT_EQ(lm.vkeys[i], mesh::geo_key(lm.verts[i])) << "vertex " << i;
+  }
+}
+
+TEST(LocalMeshTest, VertexKeysStayInStepWithVertices) {
+  const mesh::TetMesh box = mesh::make_box_mesh(2, 2, 2, 0.75);
+  LocalMesh lm;
+  for (std::size_t t = 0; t < box.tets.size(); ++t) {
+    TetRec r{};
+    for (int k = 0; k < 4; ++k) {
+      const Vec3& p = box.verts[static_cast<std::size_t>(box.tets[t].v[static_cast<std::size_t>(k)])];
+      r.c[k][0] = p.x;
+      r.c[k][1] = p.y;
+      r.c[k][2] = p.z;
+    }
+    lm.add_record(r);
+  }
+  expect_vkeys_in_step(lm);
+
+  // Edge keys from the cache equal the keys of the endpoint positions.
+  for (std::size_t t = 0; t < lm.tets.size(); ++t) {
+    for (int le = 0; le < 6; ++le) {
+      const auto& ends = mesh::kTetEdges[static_cast<std::size_t>(le)];
+      const Vec3& a = lm.verts[static_cast<std::size_t>(lm.tets[t].v[static_cast<std::size_t>(ends[0])])];
+      const Vec3& b = lm.verts[static_cast<std::size_t>(lm.tets[t].v[static_cast<std::size_t>(ends[1])])];
+      EXPECT_EQ(lm.edge_key(t, le), mesh::geo_edge_key(a, b));
+    }
+  }
+
+  // Refinement appends midpoint vertices through vert_id.
+  apps::detail::MarkSet64 marks;
+  const mesh::SphereFront front{Vec3(0.7, 0.8, 0.9), 0.6, 0.2};
+  ASSERT_GT(apps::detail::mark_local(lm, front, marks), 0u);
+  for (;;) {
+    std::vector<std::uint64_t> wanted;
+    apps::detail::close_local_round(lm, marks, wanted);
+    if (wanted.empty()) break;
+    for (std::uint64_t key : wanted) marks.insert(key);
+  }
+  const std::size_t verts_before = lm.verts.size();
+  const auto st = apps::detail::refine_local(lm, marks);
+  EXPECT_GT(st.new_verts, 0u);
+  EXPECT_EQ(lm.verts.size(), verts_before + st.new_verts);
+  expect_vkeys_in_step(lm);
+
+  // Move-assignment, as the remap's `lm = std::move(kept)` does.
+  LocalMesh kept;
+  for (std::size_t t = 0; t < lm.tets.size(); t += 2) kept.add_record(lm.record_of(t, 0));
+  lm = std::move(kept);
+  expect_vkeys_in_step(lm);
+  EXPECT_FALSE(lm.verts.empty());
+
+  lm.clear();
+  EXPECT_TRUE(lm.verts.empty());
+  expect_vkeys_in_step(lm);
+  lm.add_record(rec({{0, 0, 0}, {1, 0, 0}, {0, 1, 0}, {0, 0, 1}}));
+  EXPECT_EQ(lm.verts.size(), 4u);
+  expect_vkeys_in_step(lm);
+}
+
+// MarkSet64 answers insert and lookup exactly as std::unordered_set does.
+TEST(MarkSet64Test, MatchesUnorderedSet) {
+  apps::detail::MarkSet64 set;
+  std::unordered_set<std::uint64_t> ref;
+  Rng rng(2024);
+  std::vector<std::uint64_t> inserted;
+  auto insert_both = [&](std::uint64_t key) {
+    const bool fresh = ref.insert(key).second;
+    ASSERT_EQ(set.insert(key), fresh) << "key " << key;
+    if (fresh) inserted.push_back(key);
+  };
+  // 60000 keys take the table from 16 slots through 13 doublings; each
+  // key comes from one of four streams: random, a duplicate of an earlier
+  // key, equal low 32 bits (only the high half differs) or equal high bits.
+  for (int i = 0; i < 60000; ++i) {
+    const std::uint64_t r = rng.next_u64();
+    switch (i % 4) {
+      case 0: insert_both(r | 1); break;
+      case 1:
+        if (!inserted.empty()) insert_both(inserted[rng.next_below(inserted.size())]);
+        break;
+      case 2: insert_both((r << 32) | 0x5a5a5a5aULL); break;
+      default: insert_both((0xabcdULL << 48) | (r >> 16) | 1); break;
+    }
+    ASSERT_EQ(set.size(), ref.size());
+    // Absent lookups: fresh random keys, almost all absent.
+    const std::uint64_t probe = rng.next_u64() | 1;
+    ASSERT_EQ(set.contains(probe), ref.count(probe) != 0) << "probe " << probe;
+  }
+  EXPECT_GT(ref.size(), 40000u);
+  for (std::uint64_t key : inserted) {
+    ASSERT_TRUE(set.contains(key));
+    ASSERT_FALSE(set.insert(key));  // every re-insert is a duplicate
+  }
+  EXPECT_EQ(set.size(), ref.size());
+  for (std::uint64_t i = 1; i <= 4096; ++i) {
+    EXPECT_EQ(set.contains(i << 40), ref.count(i << 40) != 0);
+  }
+}
+
+TEST(MarkSet64Test, EmptySetAndZeroKey) {
+  apps::detail::MarkSet64 set;
+  EXPECT_EQ(set.size(), 0u);
+  EXPECT_FALSE(set.contains(1));
+  EXPECT_FALSE(set.contains(0));
+  // 0 is the empty-slot value; geo_edge_key never returns it.
+  EXPECT_THROW(set.insert(0), std::logic_error);
+  EXPECT_TRUE(set.insert(1));
+  EXPECT_FALSE(set.contains(0));
+  EXPECT_EQ(set.size(), 1u);
 }
 
 // A throwing `fn` must reach every caller for its key: the computing
@@ -205,7 +324,9 @@ TEST(SasEdgeTableTest, MidOwnershipGoesToMinimumBidder) {
       EXPECT_EQ(id, static_cast<std::int64_t>(100 + k));
       auto& slot = got[static_cast<std::size_t>(k - 1)];
       const std::int64_t prev = slot.exchange(id + 1);
-      if (prev != 0) EXPECT_EQ(prev, id + 1);
+      if (prev != 0) {
+        EXPECT_EQ(prev, id + 1);
+      }
     }
     team.barrier();
   });

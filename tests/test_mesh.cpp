@@ -4,6 +4,7 @@
 
 #include <unordered_set>
 
+#include "common/rng.hpp"
 #include "mesh/dualgraph.hpp"
 #include "mesh/mesh.hpp"
 #include "mesh/quality.hpp"
@@ -113,7 +114,9 @@ TEST_P(TemplateVolume, ChildrenPartitionParentVolume) {
   EXPECT_EQ(st.new_tets, static_cast<std::size_t>(child_count(classify(mask))));
   EXPECT_NEAR(m.total_volume(), vol0, 1e-12);
   for (std::size_t t = 0; t < m.tets.size(); ++t) {
-    if (m.alive[t]) EXPECT_GT(m.volume(static_cast<TetId>(t)), 0.0);
+    if (m.alive[t]) {
+      EXPECT_GT(m.volume(static_cast<TetId>(t)), 0.0);
+    }
   }
   m.validate();
 }
@@ -286,6 +289,29 @@ TEST(GeoKey, DistinctPointsDistinctKeys) {
   EXPECT_NE(geo_key({0, 0, 0}), geo_key({0, 0, 1e-3}));
   EXPECT_NE(geo_key({1, 2, 3}), geo_key({3, 2, 1}));
   EXPECT_EQ(geo_key({0.5, 0.25, 0.125}), geo_key({0.5, 0.25, 0.125}));
+}
+
+TEST(GeoKey, EdgeKeyOfKeysMatchesEdgeKey) {
+  auto expect_same = [](const Vec3& a, const Vec3& b) {
+    EXPECT_EQ(geo_edge_key_of_keys(geo_key(a), geo_key(b)), geo_edge_key(a, b)) << a << ' ' << b;
+    EXPECT_EQ(geo_edge_key_of_keys(geo_key(b), geo_key(a)), geo_edge_key(a, b)) << a << ' ' << b;
+  };
+  // Lattice points (and their edge midpoints) as the box mesh produces them.
+  const TetMesh m = make_box_mesh(3, 3, 3, 0.5);
+  for (std::size_t t = 0; t < m.tets.size(); ++t) {
+    for (const EdgeKey& e : m.edges_of(static_cast<TetId>(t))) {
+      const Vec3& a = m.verts[static_cast<std::size_t>(e.a)];
+      const Vec3& b = m.verts[static_cast<std::size_t>(e.b)];
+      expect_same(a, b);
+      expect_same(a, (a + b) * 0.5);
+    }
+  }
+  Rng rng(41);
+  for (int i = 0; i < 2000; ++i) {
+    const Vec3 a(rng.uniform(-50, 50), rng.uniform(-50, 50), rng.uniform(-50, 50));
+    const Vec3 b(rng.uniform(-50, 50), rng.uniform(-50, 50), rng.uniform(-50, 50));
+    expect_same(a, b);
+  }
 }
 
 TEST(FrontTest, CutsDetectsShellCrossings) {

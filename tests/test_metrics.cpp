@@ -290,7 +290,9 @@ TEST(ChromeTrace, JsonParsesAndTracksAreMonotone) {
     for (const auto& e : evs) {
       EXPECT_GE(e.t_ns, last) << "PE " << pe << " time went backwards";
       last = e.t_ns;
-      if (e.kind == EventKind::kBarrier) EXPECT_GE(e.t2_ns, e.t_ns);
+      if (e.kind == EventKind::kBarrier) {
+        EXPECT_GE(e.t2_ns, e.t_ns);
+      }
     }
   }
 }

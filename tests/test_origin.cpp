@@ -78,8 +78,8 @@ TEST(Costs, MemcpyLinear) {
 
 TEST(Params, RequiresValidPeIds) {
   const auto p = MachineParams::origin2000();
-  EXPECT_THROW(p.hops(-1, 0), std::invalid_argument);
-  EXPECT_THROW(p.max_hops(0), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(p.hops(-1, 0)), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(p.max_hops(0)), std::invalid_argument);
 }
 
 // The conservative lookahead bounds how soon any cross-domain event can

@@ -2,6 +2,11 @@
 // processor reassignment, and the remap gain policy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <numeric>
+#include <span>
+
 #include "common/rng.hpp"
 #include "plum/partition.hpp"
 #include "plum/remap.hpp"
@@ -62,6 +67,73 @@ TEST_P(RibP, Deterministic) {
 }
 
 INSTANTIATE_TEST_SUITE_P(PartCounts, RibP, ::testing::Values(2, 3, 4, 5, 8, 13, 16, 32));
+
+// The comparator-sort RIB that rib_partition replaced, kept as the
+// reference: it recomputes both projections on every comparison.
+void reference_rib(std::span<const Element> elems, std::vector<int>& subset, int part_lo,
+                   int nparts, std::vector<int>& out) {
+  if (nparts == 1 || subset.size() <= 1) {
+    for (int i : subset) out[static_cast<std::size_t>(i)] = part_lo;
+    return;
+  }
+  const int k1 = nparts / 2;
+  const Vec3 axis = principal_axis(elems, subset);
+  std::sort(subset.begin(), subset.end(), [&](int a, int b) {
+    const double pa = elems[static_cast<std::size_t>(a)].pos.dot(axis);
+    const double pb = elems[static_cast<std::size_t>(b)].pos.dot(axis);
+    if (pa != pb) return pa < pb;
+    return a < b;
+  });
+  double total = 0.0;
+  for (int i : subset) total += elems[static_cast<std::size_t>(i)].weight;
+  const double target = total * static_cast<double>(k1) / static_cast<double>(nparts);
+  double acc = 0.0;
+  std::size_t split = 0;
+  while (split < subset.size() - 1 && acc < target) {
+    acc += elems[static_cast<std::size_t>(subset[split])].weight;
+    ++split;
+  }
+  if (split == 0) split = 1;
+  std::vector<int> left(subset.begin(), subset.begin() + static_cast<std::ptrdiff_t>(split));
+  std::vector<int> right(subset.begin() + static_cast<std::ptrdiff_t>(split), subset.end());
+  reference_rib(elems, left, part_lo, k1, out);
+  reference_rib(elems, right, part_lo + k1, nparts - k1, out);
+}
+
+std::vector<int> reference_rib_partition(std::span<const Element> elems, int nparts) {
+  std::vector<int> out(elems.size(), 0);
+  std::vector<int> subset(elems.size());
+  std::iota(subset.begin(), subset.end(), 0);
+  reference_rib(elems, subset, 0, nparts, out);
+  return out;
+}
+
+class RibReferenceP : public ::testing::TestWithParam<int> {};
+
+TEST_P(RibReferenceP, MatchesComparatorSortOnTiedSkewedClouds) {
+  const int nparts = GetParam();
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    // Positions on a 6x6x6 lattice: with 3000 elements every site is hit
+    // about 14 times, so projections tie and the index tie-break decides.
+    // Weights span four orders of magnitude.
+    std::vector<Element> elems(3000);
+    for (auto& e : elems) {
+      e.pos = Vec3(static_cast<double>(rng.next_below(6)), static_cast<double>(rng.next_below(6)),
+                   static_cast<double>(rng.next_below(6)));
+      e.weight = std::pow(10.0, rng.uniform(-2.0, 2.0));
+    }
+    EXPECT_EQ(rib_partition(elems, nparts), reference_rib_partition(elems, nparts))
+        << "seed " << seed;
+    // Every element at one site: every projection ties.
+    std::vector<Element> same(500, Element{Vec3(1.5, -2.0, 0.25), 1.0});
+    for (auto& e : same) e.weight = 1.0 + static_cast<double>(rng.next_below(8));
+    EXPECT_EQ(rib_partition(same, nparts), reference_rib_partition(same, nparts))
+        << "seed " << seed;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(PartCounts, RibReferenceP, ::testing::Values(2, 3, 5, 8, 13, 64));
 
 TEST(Rib, SplitsAlongDominantAxis) {
   // Points on a line along x: bisection must cut x in half.

@@ -46,7 +46,9 @@ TEST_P(RandomTetTemplates, EveryLegalMaskPartitionsVolume) {
     mesh::refine(m, marks);
     EXPECT_NEAR(m.total_volume(), vol0, 1e-12 + 1e-9 * vol0) << "mask " << int(mask);
     for (std::size_t t = 0; t < m.tets.size(); ++t) {
-      if (m.alive[t]) EXPECT_GT(m.volume(static_cast<mesh::TetId>(t)), 0.0);
+      if (m.alive[t]) {
+        EXPECT_GT(m.volume(static_cast<mesh::TetId>(t)), 0.0);
+      }
     }
   }
 }
@@ -113,7 +115,9 @@ TEST_P(RandomCluster, OctreeInvariants) {
                  ? 1
                  : tree.cells()[static_cast<std::size_t>(ch)].count;
     }
-    if (c.count > 1) EXPECT_EQ(sum, c.count);
+    if (c.count > 1) {
+      EXPECT_EQ(sum, c.count);
+    }
   }
   // Tree order is a permutation.
   const auto order = tree.bodies_in_tree_order();

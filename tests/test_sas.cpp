@@ -224,8 +224,12 @@ TEST(SasLoops, StaticRangesDisjointAndOrdered) {
     Team team(w, pe);
     const auto [lo, hi] = team.static_range(0, 100);
     EXPECT_LE(lo, hi);
-    if (pe.rank() == 0) EXPECT_EQ(lo, 0u);
-    if (pe.rank() == 6) EXPECT_EQ(hi, 100u);
+    if (pe.rank() == 0) {
+      EXPECT_EQ(lo, 0u);
+    }
+    if (pe.rank() == 6) {
+      EXPECT_EQ(hi, 100u);
+    }
   });
 }
 

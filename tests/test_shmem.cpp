@@ -144,7 +144,9 @@ TEST(ShmemAtomics, FetchAddSerialises) {
     ctx.barrier_all();
     for (int i = 0; i < 10; ++i) (void)ctx.fetch_add(counter, 1, 0);
     ctx.barrier_all();
-    if (pe.rank() == 0) EXPECT_EQ(*ctx.local(counter), 80);
+    if (pe.rank() == 0) {
+      EXPECT_EQ(*ctx.local(counter), 80);
+    }
   });
 }
 
